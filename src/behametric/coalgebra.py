@@ -448,13 +448,13 @@ def load_system(
     bound = _parse_top(doc)
     spaces = {
         name: table_from_json(sdoc, bound, f"spaces.{name}")
-        for name, sdoc in doc.get("spaces", {}).items()
+        for name, sdoc in _object_field(doc, "spaces").items()
     }
     expr = expr_from_json(doc.get("expr"), spaces, bound)
     states = doc.get("states")
     if not isinstance(states, list):
         raise SchemaError("states", "expected a list of state names")
-    alpha_doc = doc.get("alpha", {})
+    alpha_doc = _object_field(doc, "alpha")
     alpha = {
         s: struct_from_json(alpha_doc.get(s), f"alpha.{s}", eps)
         for s in states
@@ -463,15 +463,28 @@ def load_system(
     return System(states, expr, alpha, bound, mode)
 
 
+def _object_field(doc: dict, key, path=None) -> dict:
+    """doc[key] when it is a JSON object, {} when absent; anything else is
+    rejected with its path."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise SchemaError(path or key, f"expected a JSON object, got {value!r}")
+    return value
+
+
 def _parse_prob_ts(doc, eps=None, c=None) -> ProbTS:
     c_val = Fraction(c) if c is not None else parse_weight(doc.get("c", "1/2"), eps)
     states = doc.get("states")
     if not isinstance(states, list):
         raise SchemaError("states", "expected a list of state names")
+    transitions_doc = _object_field(doc, "transitions")
+    terminate_doc = _object_field(doc, "terminate")
     transitions = {
         s: {
             tgt: parse_weight(w, eps)
-            for tgt, w in doc.get("transitions", {}).get(s, {}).items()
+            for tgt, w in _object_field(
+                transitions_doc, s, f"transitions[{s}]"
+            ).items()
         }
         for s in states
     }
@@ -480,7 +493,7 @@ def _parse_prob_ts(doc, eps=None, c=None) -> ProbTS:
         for s, trans in transitions.items()
     }
     terminate = {
-        s: parse_weight(doc.get("terminate", {}).get(s, 0), eps) for s in states
+        s: parse_weight(terminate_doc.get(s, 0), eps) for s in states
     }
     return ProbTS(states, transitions, terminate, c_val)
 
@@ -491,12 +504,15 @@ def _parse_metric_ts(doc) -> MetricTS:
         raise SchemaError("states", "expected a list of state names")
     props = [
         (name, table_from_json(sdoc, TOP_INF, f"propositions.{name}"))
-        for name, sdoc in doc.get("propositions", {}).items()
+        for name, sdoc in _object_field(doc, "propositions").items()
     ]
-    valuation = {s: dict(doc.get("valuation", {}).get(s, {})) for s in states}
-    tau = {
-        s: frozenset(doc.get("tau", {}).get(s, [])) for s in states
+    valuation_doc = _object_field(doc, "valuation")
+    valuation = {
+        s: dict(_object_field(valuation_doc, s, f"valuation[{s}]"))
+        for s in states
     }
+    tau_doc = _object_field(doc, "tau")
+    tau = {s: frozenset(tau_doc.get(s, [])) for s in states}
     return MetricTS(states, props, valuation, tau)
 
 
@@ -534,7 +550,7 @@ def load_lift_instance(doc) -> LiftInstance:
     space = table_from_json(doc.get("space"), bound, "space")
     spaces = {
         name: table_from_json(sdoc, bound, f"spaces.{name}")
-        for name, sdoc in doc.get("spaces", {}).items()
+        for name, sdoc in _object_field(doc, "spaces").items()
     }
     expr = expr_from_json(doc.get("expr"), spaces, bound)
     check_expr_bound(expr, bound)

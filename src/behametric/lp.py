@@ -1,8 +1,13 @@
-"""Exact-rational linear programming.
+"""Exact-rational linear programming: two solvers over Fractions.
 
-A small two-phase tableau simplex with Bland's rule (guaranteed termination
-under degeneracy) over Fractions, plus a transportation front end.  Speed is
-irrelevant at the problem sizes this library sees; exactness is not.
+``solve_max`` is a two-phase tableau simplex with Bland's rule (guaranteed
+termination under degeneracy) for general box-bounded LPs; it serves the
+Kantorovich nonexpansiveness LP.  ``solve_transportation`` is a
+transportation simplex on the bipartite basis tree for the Wasserstein
+couplings: a north-west-corner start, MODI potentials, Bland's rule and
+pivots around the tree cycle.  Both are exact; the transportation solver
+runs once per Wasserstein ``Dist`` node and iteration, so it avoids the
+tableau entirely.
 """
 
 from __future__ import annotations
@@ -264,35 +269,135 @@ def solve_transportation(inst: TransportationInstance):
     """
     m, n = len(inst.supply), len(inst.demand)
     bound = inst.bound
-    cells = [
-        (i, j)
-        for i in range(m)
-        for j in range(n)
-        if not inst.cost[i][j].is_infinite
-    ]
-    if not cells:
+    # a cell costs the pair (forbidden, finite cost), ordered
+    # lexicographically: an exact big-M that uses a forbidden cell only when
+    # no plan avoids them all
+    big = [[1 if v.is_infinite else 0 for v in row] for row in inst.cost]
+    if all(all(row) for row in big):
         if all(s == 0 for s in inst.supply):
             return Value(Fraction(0), bound), [[ZERO] * n for _ in range(m)]
         return Value(INF, bound), None
-
-    nvar = len(cells)
-    obj = [-inst.cost[i][j].as_fraction() for i, j in cells]
-    # generous finite box: no single cell carries more than the total mass
-    total = sum(inst.supply)
-    bounds = [(ZERO, total)] * nvar
-    constraints = []
+    small = [
+        [ZERO if v.is_infinite else v.as_fraction() for v in row]
+        for row in inst.cost
+    ]
+    plan, rows, cols = _north_west_corner(inst.supply, inst.demand)
+    while True:
+        entering = _entering_cell(big, small, rows, cols)
+        if entering is None:
+            break
+        _pivot_cycle(plan, rows, cols, *entering)
+    total = ZERO
     for i in range(m):
-        coeffs = [ONE if ci == i else ZERO for ci, _ in cells]
-        constraints.append((coeffs, "=", inst.supply[i]))
-    for j in range(n):
-        coeffs = [ONE if cj == j else ZERO for _, cj in cells]
-        constraints.append((coeffs, "=", inst.demand[j]))
-    lp = LinearProgram(objective=obj, bounds=bounds, constraints=constraints)
-    try:
-        neg_cost, witness = solve_max(lp)
-    except Infeasible:
-        return Value(INF, bound), None
+        for j in rows[i]:
+            if plan[i][j]:
+                if big[i][j]:
+                    return Value(INF, bound), None
+                total += plan[i][j] * small[i][j]
+    return Value(total, bound), plan
+
+
+def _north_west_corner(supply, demand):
+    """Initial basic plan: a staircase of m + n - 1 cells from (0, 0) to
+    (m-1, n-1), degenerate zero-flow cells included, so the basis is always a
+    spanning tree of the rows and columns.  rows[i] holds the basic columns of
+    row i and cols[j] the basic rows of column j."""
+    m, n = len(supply), len(demand)
     plan = [[ZERO] * n for _ in range(m)]
-    for (i, j), w in zip(cells, witness):
-        plan[i][j] = w
-    return Value(-neg_cost, bound), plan
+    rows = [set() for _ in range(m)]
+    cols = [set() for _ in range(n)]
+    left, need = list(supply), list(demand)
+    i = j = 0
+    while True:
+        x = min(left[i], need[j])
+        plan[i][j] = x
+        left[i] -= x
+        need[j] -= x
+        rows[i].add(j)
+        cols[j].add(i)
+        if i == m - 1 and j == n - 1:
+            return plan, rows, cols
+        if j == n - 1 or (i < m - 1 and left[i] == 0):
+            i += 1
+        else:
+            j += 1
+
+
+def _entering_cell(big, small, rows, cols):
+    """First non-basic cell in row-major order whose reduced cost
+    c_ij - u_i - v_j is negative (Bland), or None at the optimum.  The MODI
+    potentials solve u_i + v_j = c_ij on the basic cells with u_0 = 0."""
+    m, n = len(rows), len(cols)
+    ub, us = [0] * m, [ZERO] * m
+    vb, vs = [0] * n, [ZERO] * n
+    seen = [False] * (m + n)  # rows are nodes 0..m-1, columns m..m+n-1
+    seen[0] = True
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        if node < m:
+            i = node
+            for j in rows[i]:
+                if not seen[m + j]:
+                    seen[m + j] = True
+                    vb[j] = big[i][j] - ub[i]
+                    vs[j] = small[i][j] - us[i]
+                    stack.append(m + j)
+        else:
+            j = node - m
+            for i in cols[j]:
+                if not seen[i]:
+                    seen[i] = True
+                    ub[i] = big[i][j] - vb[j]
+                    us[i] = small[i][j] - vs[j]
+                    stack.append(i)
+    for i in range(m):
+        basic = rows[i]
+        for j in range(n):
+            if j in basic:
+                continue
+            rb = big[i][j] - ub[i] - vb[j]
+            if rb < 0 or (rb == 0 and small[i][j] < us[i] + vs[j]):
+                return i, j
+    return None
+
+
+def _pivot_cycle(plan, rows, cols, i0, j0):
+    """Enter cell (i0, j0): push the most mass allowed around the cycle it
+    closes in the basis tree; the smallest blocking cell leaves (Bland)."""
+    m = len(rows)
+    target = m + j0
+    parent = {i0: None}
+    stack = [i0]
+    while target not in parent:
+        node = stack.pop()
+        if node < m:
+            nbrs = [m + j for j in rows[node]]
+        else:
+            nbrs = cols[node - m]
+        for nb in nbrs:
+            if nb not in parent:
+                parent[nb] = node
+                stack.append(nb)
+    # the tree path from column j0 back to row i0; its cells alternate
+    # between losing and gaining mass, starting with a loss in column j0
+    path = []
+    node = target
+    while parent[node] is not None:
+        prev = parent[node]
+        path.append((prev, node - m) if prev < m else (node, prev - m))
+        node = prev
+    losing = path[0::2]
+    theta = min(plan[i][j] for i, j in losing)
+    leaving = min(cell for cell in losing if plan[cell[0]][cell[1]] == theta)
+    if theta:
+        for i, j in losing:
+            plan[i][j] -= theta
+        for i, j in path[1::2]:
+            plan[i][j] += theta
+        plan[i0][j0] = theta
+    rows[i0].add(j0)
+    cols[j0].add(i0)
+    li, lj = leaving
+    rows[li].discard(lj)
+    cols[lj].discard(li)

@@ -9,6 +9,7 @@ only when a p-norm evaluation produces an irrational root).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -252,14 +253,17 @@ def inf_fin(vs: Iterable[Value]) -> Value:
 
 
 def _int_nth_root(n: int, p: int) -> int | None:
-    """Exact p-th root of a nonnegative integer, or None."""
-    if n in (0, 1):
+    """Exact p-th root of a nonnegative integer, or None.  Integer Newton
+    iteration from above, so n may have any size."""
+    if n < 2:
         return n
-    r = round(n ** (1.0 / p))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**p == n:
-            return cand
-    return None
+    x = 1 << -(-n.bit_length() // p)  # 2 ** ceil(bits / p) exceeds the root
+    while True:
+        y = ((p - 1) * x + n // x ** (p - 1)) // p
+        if y >= x:
+            break
+        x = y
+    return x if x**p == n else None
 
 
 def pth_root(v: Value, p: int) -> Value:
@@ -275,7 +279,9 @@ def pth_root(v: Value, p: int) -> Value:
     den = _int_nth_root(v.mag.denominator, p)
     if num is not None and den is not None:
         return Value(Fraction(num, den), v.bound)
-    return Value(float(v.mag) ** (1.0 / p), v.bound)
+    # logs of the ints: float(v.mag) overflows once either passes ~1e308
+    log_mag = math.log(v.mag.numerator) - math.log(v.mag.denominator)
+    return Value(math.exp(log_mag / p), v.bound)
 
 
 def pth_power(v: Value, p: int) -> Value:

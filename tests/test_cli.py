@@ -43,6 +43,15 @@ class TestDist:
         code, _, err = run(capsys, "dist", str(bad))
         assert code == 1 and "s" in err
 
+    def test_non_object_transitions_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": "prob_ts", "c": "1/2", "states": ["x", "y"],
+                                   "transitions": ["x", "y"]}))
+        code, out, err = run(capsys, "dist", str(bad))
+        assert code == 1 and out == ""
+        assert "transitions: expected a JSON object" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run(capsys, "dist", "no-such-file.json")
         assert code == 1 and "error" in err

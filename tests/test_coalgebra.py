@@ -141,6 +141,28 @@ class TestLoadSystem:
             load_system(doc, eps=F(1, 20))
         assert "x" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("transitions", ["x", "y"], "transitions"),
+            ("transitions", "x", "transitions"),
+            ("terminate", ["z"], "terminate"),
+            ("transitions", {"x": ["u", "z"]}, "transitions[x]"),
+        ],
+    )
+    def test_prob_ts_non_object_rejected_with_path(self, field, value, path):
+        doc = dict(FIG1_LEFT, **{field: value})
+        with pytest.raises(SchemaError) as err:
+            load_system(doc, eps=F(1, 20))
+        assert err.value.path == path
+        assert str(err.value).startswith(f"{path}: expected a JSON object")
+
+    def test_metric_ts_non_object_rejected_with_path(self):
+        doc = {"kind": "metric_ts", "states": ["s"], "tau": ["s"]}
+        with pytest.raises(SchemaError) as err:
+            load_system(doc)
+        assert err.value.path == "tau"
+
     def test_empty_system(self):
         doc = {
             "kind": "system",

@@ -186,3 +186,87 @@ class TestTransportation:
                 for plan in transportation_vertices(supply, demand)
             )
             assert value.is_zero == zero_plan_exists
+
+
+def _random_mass(rng, k):
+    # zero entries give zero-mass rows and columns
+    weights = [F(rng.choice([0, 0, 1, 2, 3])) for _ in range(k)]
+    if not any(weights):
+        weights[rng.randrange(k)] = F(1)
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def _plan_cost(cost, plan):
+    return sum(
+        (cost[i][j].as_fraction() * x for i, row in enumerate(plan) for j, x in enumerate(row) if x),
+        F(0),
+    )
+
+
+def _oracle_value(supply, demand, cost):
+    """Least cost over the vertices that avoid the forbidden cells, or INF."""
+    costs = [
+        _plan_cost(cost, plan)
+        for plan in transportation_vertices(supply, demand)
+        if not any(x and cost[i][j].is_infinite for i, row in enumerate(plan) for j, x in enumerate(row))
+    ]
+    return min(costs) if costs else INF
+
+
+class TestTransportationSimplex:
+    def test_matches_vertex_oracle_with_forbidden_cells(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            supply, demand = _random_mass(rng, m), _random_mass(rng, n)
+            cost = [
+                [
+                    Value(INF, TOP_INF) if rng.random() < 0.3 else Value(F(rng.randint(0, 12), 4), TOP_INF)
+                    for _ in range(n)
+                ]
+                for _ in range(m)
+            ]
+            value, plan = solve_transportation(TransportationInstance(supply, demand, cost))
+            expected = _oracle_value(supply, demand, cost)
+            if expected is INF:
+                assert value.is_infinite and plan is None
+                continue
+            assert value == Value(expected, TOP_INF)
+            # the plan is an exact coupling of the marginals; _plan_cost
+            # raises on mass in a forbidden cell
+            assert [sum(row) for row in plan] == supply
+            assert [sum(col) for col in zip(*plan)] == demand
+            assert all(x >= 0 for row in plan for x in row)
+            assert _plan_cost(cost, plan) == expected
+
+    def test_fully_degenerate_instance_terminates(self):
+        supply = demand = [F(1, 4)] * 4
+        value, plan = solve_transportation(
+            TransportationInstance(supply, demand, _cost([["1/2"] * 4] * 4))
+        )
+        assert value == Value(F(1, 2), TOP_ONE)
+        assert [sum(row) for row in plan] == supply
+        assert [sum(col) for col in zip(*plan)] == demand
+
+    def test_every_instance_without_a_finite_plan_is_infinite(self):
+        # each row may use only its own column, but the marginals differ
+        inf, one = Value(INF, TOP_INF), Value(F(1), TOP_INF)
+        cost = [[one, inf], [inf, one]]
+        for supply, demand in (
+            ([F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]),
+            ([F(1), F(0)], [F(0), F(1)]),
+        ):
+            value, plan = solve_transportation(TransportationInstance(supply, demand, cost))
+            assert value.is_infinite and plan is None
+        # every cell carrying mass is forbidden
+        value, plan = solve_transportation(
+            TransportationInstance([F(0), F(1)], [F(1)], [[one], [inf]])
+        )
+        assert value.is_infinite and plan is None
+
+    def test_zero_mass_rows_may_touch_forbidden_cells(self):
+        inf, half = Value(INF, TOP_INF), Value(F(1, 2), TOP_INF)
+        inst = TransportationInstance([F(0), F(1)], [F(1), F(0)], [[inf, inf], [half, inf]])
+        value, plan = solve_transportation(inst)
+        assert value == half and plan == [[F(0), F(0)], [F(1), F(0)]]

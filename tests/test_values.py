@@ -158,6 +158,24 @@ class TestRoots:
         v = pth_power(pth_root(Value(F(8, 27), TOP_INF), 3), 3)
         assert v == Value(F(8, 27), TOP_INF)
 
+    def test_huge_perfect_power_is_exact(self):
+        v = pth_root(Value(F(10**400, 9), TOP_INF), 2)
+        assert v.is_exact and v == Value(F(10**200, 3), TOP_INF)
+
+    def test_huge_irrational_root_does_not_overflow(self):
+        # numerator and denominator beyond the float range must not pass
+        # through float(): the inexact root comes from the logs of the ints
+        v = pth_root(Value(F(10**400 + 1, 3), TOP_INF), 2)
+        assert not v.is_exact
+        assert v.as_float() == pytest.approx(1e200 / 3**0.5, rel=1e-12)
+        tiny = pth_root(Value(F(2, 10**401), TOP_ONE), 2)
+        assert tiny.as_float() == pytest.approx(2**0.5 * 10**-200.5, rel=1e-12)
+
+    def test_large_cubes_are_exact(self):
+        for n in (3**100, 2**200 + 1, 10**60 - 7):
+            v = pth_root(Value(F(n**3, (n + 1) ** 3), TOP_INF), 3)
+            assert v.is_exact and v == Value(F(n, n + 1), TOP_INF)
+
 
 class TestModes:
     def test_exact_vs_float_agreement(self):
