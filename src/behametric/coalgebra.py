@@ -10,7 +10,7 @@ generic System over the functor grammar.  Rationals travel as "p/q" strings
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .functors import (
@@ -59,11 +59,11 @@ class SchemaError(ValueError):
 # rational parsing with a symbolic epsilon
 
 
-def parse_weight(text, eps: Fraction | None = None) -> Fraction:
+def parse_weight(text, eps: Fraction | None = None, path="weight") -> Fraction:
     """Parse "p/q" optionally combined with a symbolic eps, e.g. "1/2-eps".
 
     Terms are rationals or "eps" joined by + and -; eps must be supplied
-    when the symbol occurs.
+    when the symbol occurs.  Errors name ``path``.
     """
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
@@ -75,16 +75,16 @@ def parse_weight(text, eps: Fraction | None = None) -> Fraction:
     def flush():
         nonlocal total, token
         if not token:
-            raise SchemaError("weight", f"malformed weight {text!r}")
+            raise SchemaError(path, f"malformed weight {text!r}")
         if token == "eps":
             if eps is None:
-                raise SchemaError("weight", f"{text!r} needs an eps value")
+                raise SchemaError(path, f"{text!r} needs an eps value")
             term = eps
         else:
             try:
                 term = Fraction(token)
             except (ValueError, ZeroDivisionError):
-                raise SchemaError("weight", f"malformed weight {text!r}") from None
+                raise SchemaError(path, f"malformed weight {text!r}") from None
         total += sign * term
         token = ""
 
@@ -124,7 +124,10 @@ class System:
         self.states = tuple(self.states)
         if len(set(self.states)) != len(self.states):
             raise SchemaError("states", "duplicate state names")
-        check_expr_bound(self.expr, self.top)
+        try:
+            check_expr_bound(self.expr, self.top)
+        except ConfigurationError as exc:
+            raise SchemaError("expr", str(exc)) from exc
         missing = [s for s in self.states if s not in self.alpha]
         if missing:
             raise SchemaError("alpha", f"missing transitions for {missing}")
@@ -214,9 +217,13 @@ def from_prob_ts(p: ProbTS, mode: NumericMode = EXACT) -> System:
         for tgt, w in p.transitions.get(s, {}).items():
             if w > 0:
                 weights[Tagged("left", tgt)] = w
+            elif w < 0:
+                raise SchemaError(f"transitions[{s}][{tgt}]", f"negative weight {w}")
         tw = Fraction(p.terminate.get(s, 0))
         if tw > 0:
             weights[Tagged("right", TERMINATED)] = tw
+        elif tw < 0:
+            raise SchemaError(f"terminate[{s}]", f"negative weight {tw}")
         alpha[s] = Distribution(weights)
     return System(p.states, expr, alpha, TOP_ONE, mode)
 
@@ -255,8 +262,12 @@ def expr_from_json(doc, spaces, bound, path="expr") -> FunctorExpr:
     (kind, body), = doc.items()
     sub = f"{path}.{kind}"
     if kind == "id":
-        discount = parse_weight(body.get("discount", "1")) if isinstance(body, dict) else Fraction(1)
-        return Id(discount)
+        if not isinstance(body, dict):
+            return Id(Fraction(1))
+        try:
+            return Id(parse_weight(body.get("discount", "1"), path=sub + ".discount"))
+        except ConfigurationError as exc:
+            raise SchemaError(sub + ".discount", str(exc)) from None
     if kind == "dist":
         return Dist(expr_from_json(body, spaces, bound, sub))
     if kind == "finpow":
@@ -276,9 +287,16 @@ def expr_from_json(doc, spaces, bound, path="expr") -> FunctorExpr:
         ev_doc = body.get("eval", "max")
         if ev_doc == "max":
             ev = MaxEval()
-        elif isinstance(ev_doc, dict) and "pnorm" in ev_doc:
-            pn = ev_doc["pnorm"]
-            ev = PNormEval(int(pn["p"]), parse_weight(pn["c1"]), parse_weight(pn["c2"]))
+        elif isinstance(ev_doc, dict) and isinstance(ev_doc.get("pnorm"), dict):
+            pn, pn_path = ev_doc["pnorm"], sub + ".eval.pnorm"
+            c1 = parse_weight(pn.get("c1"), path=pn_path + ".c1")
+            c2 = parse_weight(pn.get("c2"), path=pn_path + ".c2")
+            if not isinstance(pn.get("p"), int):
+                raise SchemaError(pn_path + ".p", f"expected an integer, got {pn.get('p')!r}")
+            try:
+                ev = PNormEval(pn["p"], c1, c2)
+            except ConfigurationError as exc:
+                raise SchemaError(pn_path, str(exc)) from None
         else:
             raise SchemaError(sub + ".eval", f"unknown evaluation {ev_doc!r}")
         return Product(
@@ -287,7 +305,7 @@ def expr_from_json(doc, spaces, bound, path="expr") -> FunctorExpr:
             ev,
         )
     if kind == "const":
-        if body not in spaces:
+        if not isinstance(body, str) or body not in spaces:
             raise SchemaError(sub, f"unknown constant space {body!r}")
         return Const(spaces[body], name=body)
     raise SchemaError(path, f"unknown expression node {kind!r}")
@@ -336,18 +354,24 @@ def expr_to_json(expr: FunctorExpr):
 def table_from_json(doc, bound, path="space", eps=None) -> PseudometricTable:
     if not isinstance(doc, dict) or "carrier" not in doc:
         raise SchemaError(path, "expected {carrier: [...], d: [[a, b, value], ...]}")
+    carrier = _atom_list(doc["carrier"], f"{path}.carrier")
+    rows = doc.get("d", [])
+    if not isinstance(rows, list):
+        raise SchemaError(f"{path}.d", f"expected a list of [a, b, value], got {rows!r}")
     entries = {}
-    for k, row in enumerate(doc.get("d", [])):
+    for k, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == 3):
             raise SchemaError(f"{path}.d[{k}]", f"expected [a, b, value], got {row!r}")
         a, b, raw = row
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise SchemaError(f"{path}.d[{k}]", f"atoms must be strings, got {a!r}, {b!r}")
         mag = parse_rational_or_inf(raw, f"{path}.d[{k}]")
         try:
             entries[(a, b)] = Value(mag, bound)
         except ConfigurationError as exc:
             raise SchemaError(f"{path}.d[{k}]", str(exc)) from exc
     try:
-        return PseudometricTable(doc["carrier"], entries, bound)
+        return PseudometricTable(carrier, entries, bound)
     except (ShapeError, ConfigurationError) as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -377,7 +401,7 @@ def struct_from_json(doc, path="t", eps=None):
     if kind == "dist":
         try:
             pairs = [
-                (struct_from_json(item, f"{sub}[{k}]", eps), parse_weight(w, eps))
+                (struct_from_json(item, f"{sub}[{k}]", eps), parse_weight(w, eps, f"{sub}[{k}]"))
                 for k, (item, w) in enumerate(body)
             ]
         except (TypeError, ValueError) as exc:
@@ -387,6 +411,8 @@ def struct_from_json(doc, path="t", eps=None):
         except ShapeError as exc:
             raise SchemaError(sub, str(exc)) from exc
     if kind == "set":
+        if not isinstance(body, list):
+            raise SchemaError(sub, f"expected a list, got {body!r}")
         return frozenset(
             struct_from_json(item, f"{sub}[{k}]", eps) for k, item in enumerate(body)
         )
@@ -427,7 +453,10 @@ def _parse_top(doc, path="top") -> TopBound:
     if raw is None:
         raise SchemaError(path, 'missing "top" ("p/q" or "inf")')
     mag = parse_rational_or_inf(raw, path)
-    return TOP_INF if mag is INF else TopBound.finite(mag)
+    try:
+        return TOP_INF if mag is INF else TopBound.finite(mag)
+    except ConfigurationError as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
 def load_system(
@@ -451,9 +480,7 @@ def load_system(
         for name, sdoc in _object_field(doc, "spaces").items()
     }
     expr = expr_from_json(doc.get("expr"), spaces, bound)
-    states = doc.get("states")
-    if not isinstance(states, list):
-        raise SchemaError("states", "expected a list of state names")
+    states = _atom_list(doc.get("states"), "states")
     alpha_doc = _object_field(doc, "alpha")
     alpha = {
         s: struct_from_json(alpha_doc.get(s), f"alpha.{s}", eps)
@@ -461,6 +488,16 @@ def load_system(
         if s in alpha_doc
     }
     return System(states, expr, alpha, bound, mode)
+
+
+def _atom_list(value, path) -> list:
+    """A JSON list of strings (state names, atoms), else a SchemaError."""
+    if not isinstance(value, list):
+        raise SchemaError(path, f"expected a list of names, got {value!r}")
+    for k, x in enumerate(value):
+        if not isinstance(x, str):
+            raise SchemaError(f"{path}[{k}]", f"expected a name, got {x!r}")
+    return value
 
 
 def _object_field(doc: dict, key, path=None) -> dict:
@@ -473,15 +510,13 @@ def _object_field(doc: dict, key, path=None) -> dict:
 
 
 def _parse_prob_ts(doc, eps=None, c=None) -> ProbTS:
-    c_val = Fraction(c) if c is not None else parse_weight(doc.get("c", "1/2"), eps)
-    states = doc.get("states")
-    if not isinstance(states, list):
-        raise SchemaError("states", "expected a list of state names")
+    c_val = Fraction(c) if c is not None else parse_weight(doc.get("c", "1/2"), eps, "c")
+    states = _atom_list(doc.get("states"), "states")
     transitions_doc = _object_field(doc, "transitions")
     terminate_doc = _object_field(doc, "terminate")
     transitions = {
         s: {
-            tgt: parse_weight(w, eps)
+            tgt: parse_weight(w, eps, f"transitions[{s}][{tgt}]")
             for tgt, w in _object_field(
                 transitions_doc, s, f"transitions[{s}]"
             ).items()
@@ -493,15 +528,13 @@ def _parse_prob_ts(doc, eps=None, c=None) -> ProbTS:
         for s, trans in transitions.items()
     }
     terminate = {
-        s: parse_weight(terminate_doc.get(s, 0), eps) for s in states
+        s: parse_weight(terminate_doc.get(s, 0), eps, f"terminate[{s}]") for s in states
     }
     return ProbTS(states, transitions, terminate, c_val)
 
 
 def _parse_metric_ts(doc) -> MetricTS:
-    states = doc.get("states")
-    if not isinstance(states, list):
-        raise SchemaError("states", "expected a list of state names")
+    states = _atom_list(doc.get("states"), "states")
     props = [
         (name, table_from_json(sdoc, TOP_INF, f"propositions.{name}"))
         for name, sdoc in _object_field(doc, "propositions").items()
@@ -512,7 +545,12 @@ def _parse_metric_ts(doc) -> MetricTS:
         for s in states
     }
     tau_doc = _object_field(doc, "tau")
-    tau = {s: frozenset(tau_doc.get(s, [])) for s in states}
+    tau = {}
+    for s in states:
+        try:
+            tau[s] = frozenset(tau_doc.get(s, []))
+        except TypeError:  # not iterable, or unhashable members
+            raise SchemaError(f"tau[{s}]", "expected a list of state names") from None
     return MetricTS(states, props, valuation, tau)
 
 
@@ -546,6 +584,8 @@ class LiftInstance:
 def load_lift_instance(doc) -> LiftInstance:
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise SchemaError("$", "expected a JSON object")
     bound = _parse_top(doc)
     space = table_from_json(doc.get("space"), bound, "space")
     spaces = {

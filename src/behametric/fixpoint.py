@@ -11,7 +11,6 @@ rather than raised.
 from __future__ import annotations
 
 import io
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,8 +19,6 @@ from .coalgebra import ProbTS, System
 from .functors import PseudometricTable
 from .lifting import WASSERSTEIN, LiftingEngine
 from .values import (
-    EXACT,
-    INF,
     NumericMode,
     Value,
     dist_e,
@@ -72,7 +69,7 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
         for i in range(len(states))
         for j in range(i + 1, len(states))
     ]
-    residual = zero(bound) if states else zero(bound)
+    residual = zero(bound)
     converged = len(pairs) == 0
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):

@@ -19,7 +19,6 @@ from .values import (
     TopBound,
     Value,
     add_ext,
-    dist_e,
     pth_power,
     pth_root,
     scale,

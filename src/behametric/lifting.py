@@ -10,7 +10,6 @@ square is the one node where the two genuinely disagree.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,15 +22,13 @@ from .functors import (
     FinPow,
     FunctorExpr,
     Id,
-    MaxEval,
-    PNormEval,
     Product,
     ShapeError,
     combine_product,
     sorted_structs,
     struct_key,
 )
-from .lp import Infeasible, LinearProgram, TransportationInstance, solve_max, solve_transportation
+from .lp import LinearProgram, TransportationInstance, solve_max, solve_transportation
 from .values import (
     INF,
     ConfigurationError,
@@ -194,12 +191,18 @@ def kantorovich_linear_value(n, ground, coeffs, bound: TopBound) -> Value:
     """sup |sum coeffs[i] * f(i)| over f: points -> [0, top] nonexpansive
     w.r.t. the ground distances (a dict (i, j) -> Value for i < j).
 
+    The coefficients sum to zero, so one orientation suffices: the
+    reflection f -> hi - f keeps the box [0, hi] and nonexpansiveness, and
+    it maps sum coeffs[i] * f(i) to its negation.  The supremum of the
+    absolute value is therefore the maximum of the sum itself.
+
     Under top = inf the supremum is infinite exactly when some connected
     component of the finite-distance graph carries a nonzero net
     coefficient; otherwise the finite maximum is attained inside the box
     [0, sum of finite ground entries] because nets of zero make every
     component shift-invariant.
     """
+    assert sum(coeffs) == 0, "Kantorovich coefficients must sum to zero"
     if n == 0:
         return zero(bound)
     inexact = any(not v.is_exact for v in ground.values())
@@ -230,26 +233,21 @@ def kantorovich_linear_value(n, ground, coeffs, bound: TopBound) -> Value:
     else:
         hi = bound.limit
 
+    best, _ = solve_max(kantorovich_lp(coeffs, finite_pairs, hi))
+    return Value(float(best) if inexact else best, bound)
+
+
+def kantorovich_lp(coeffs, finite_pairs, hi) -> LinearProgram:
+    """max sum coeffs[i] * f(i) over f in [0, hi] with |f(i) - f(j)| <= q
+    for every finite pair (i, j, q)."""
+    n = len(coeffs)
     constraints = []
     for i, j, q in finite_pairs:
         row = [Fraction(0)] * n
         row[i], row[j] = Fraction(1), Fraction(-1)
         constraints.append((row, "<=", q))
         constraints.append(([-c for c in row], "<=", q))
-    best = Fraction(0)
-    for sign in (1, -1):
-        lp = LinearProgram(
-            objective=[sign * c for c in coeffs],
-            bounds=[(Fraction(0), hi)] * n,
-            constraints=constraints,
-        )
-        try:
-            val, _ = solve_max(lp)
-        except Infeasible as exc:  # f = 0 is always feasible
-            raise AssertionError("nonexpansiveness LP infeasible") from exc
-        if val > best:
-            best = val
-    return Value(float(best) if inexact else best, bound)
+    return LinearProgram(coeffs, [(Fraction(0), hi)] * n, constraints)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Exact-rational linear programming: two solvers over Fractions.
 
-``solve_max`` is a two-phase tableau simplex with Bland's rule (guaranteed
-termination under degeneracy) for general box-bounded LPs; it serves the
-Kantorovich nonexpansiveness LP.  ``solve_transportation`` is a
+``solve_max`` serves the Kantorovich nonexpansiveness LP: maximise a linear
+objective over a ``[0, hi]`` box cut by ``<=`` rows with nonnegative right-hand
+sides.  On that polytope ``x = 0`` is a vertex and the box keeps the optimum
+finite, so one tableau simplex from the slack basis suffices, with Bland's
+rule for termination under degeneracy.  ``solve_transportation`` is a
 transportation simplex on the bipartite basis tree for the Wasserstein
 couplings: a north-west-corner start, MODI potentials, Bland's rule and
-pivots around the tree cycle.  Both are exact; the transportation solver
-runs once per Wasserstein ``Dist`` node and iteration, so it avoids the
-tableau entirely.
+pivots around the tree cycle.  Both are exact.
 """
 
 from __future__ import annotations
@@ -21,26 +21,17 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class Infeasible(Exception):
-    pass
-
-
-class Unbounded(Exception):
-    """Generated LPs are box-bounded, so this signals an internal bug."""
-
-
 @dataclass
 class LinearProgram:
-    """max/min of objective . x subject to box bounds and linear rows.
+    """max objective . x over 0 <= x <= hi and rows coeffs . x <= rhs.
 
-    bounds[i] = (lo, hi) with finite rationals, lo <= hi.
-    constraints are (coefficients, relation, rhs) with relation in <=, =, >=.
+    bounds[i] = (0, hi) with hi >= 0; constraints are (coefficients, "<=",
+    rhs) with rhs >= 0, so x = 0 is always feasible.
     """
 
     objective: list
     bounds: list
     constraints: list = field(default_factory=list)
-    sense: str = "max"
 
     def __post_init__(self):
         self.objective = [Fraction(c) for c in self.objective]
@@ -48,168 +39,63 @@ class LinearProgram:
         n = len(self.objective)
         if len(self.bounds) != n:
             raise ValueError("bounds/objective length mismatch")
-        for lo, hi in self.bounds:
-            if lo > hi:
-                raise ValueError(f"empty box bound [{lo}, {hi}]")
+        for i, (lo, hi) in enumerate(self.bounds):
+            if lo != 0 or hi < 0:
+                raise ValueError(f"bound {i} is [{lo}, {hi}], not [0, hi] with hi >= 0")
         cleaned = []
-        for coeffs, rel, rhs in self.constraints:
+        for k, (coeffs, rel, rhs) in enumerate(self.constraints):
             if len(coeffs) != n:
-                raise ValueError("constraint length mismatch")
-            if rel not in ("<=", "=", ">="):
-                raise ValueError(f"bad relation {rel!r}")
-            cleaned.append(([Fraction(c) for c in coeffs], rel, Fraction(rhs)))
+                raise ValueError(f"constraint {k} length mismatch")
+            rhs = Fraction(rhs)
+            if rel != "<=" or rhs < 0:
+                raise ValueError(f"constraint {k} is {rel!r} {rhs}, not <= with rhs >= 0")
+            cleaned.append(([Fraction(c) for c in coeffs], rel, rhs))
         self.constraints = cleaned
-        if self.sense not in ("max", "min"):
-            raise ValueError(f"bad sense {self.sense!r}")
 
 
 def solve_max(lp: LinearProgram):
     """Solve the LP exactly; returns (optimal value, witness vector).
 
     The witness is an optimal vertex, feasible and attaining the value
-    exactly.  Raises Infeasible when no point satisfies the constraints.
+    exactly.  The box rows x_i <= hi_i and the constraint rows each get a
+    slack column, and the slacks form the starting basis.  The polytope is
+    bounded, so some row always limits the ratio test.
     """
     n = len(lp.objective)
-    sign = ONE if lp.sense == "max" else -ONE
-    obj = [sign * c for c in lp.objective]
-
-    # shift variables so x' = x - lo >= 0; upper bounds become rows
-    lows = [lo for lo, _ in lp.bounds]
-    rows = []
-    for i, (lo, hi) in enumerate(lp.bounds):
-        if hi > lo:
-            coeffs = [ZERO] * n
-            coeffs[i] = ONE
-            rows.append((coeffs, "<=", hi - lo))
-        else:
-            # pinned variable: x' = 0, no row needed
-            pass
-    for coeffs, rel, rhs in lp.constraints:
-        shifted = rhs - sum(c * lo for c, lo in zip(coeffs, lows))
-        rows.append((list(coeffs), rel, shifted))
-    # pinned variables must still satisfy x' = 0 if bound is degenerate;
-    # shifting already fixes them at 0 and the simplex never increases them
-    pinned = {i for i, (lo, hi) in enumerate(lp.bounds) if lo == hi}
-
-    value, xprime = _simplex_standard(obj, rows, n, pinned)
-    witness = [xp + lo for xp, lo in zip(xprime, lows)]
-    return sign * value, witness
-
-
-def _simplex_standard(obj, rows, n, pinned=frozenset()):
-    """max obj.x s.t. rows (<=, =, >=), x >= 0; two-phase, Bland's rule."""
-    # normalize rows to nonnegative rhs
-    norm = []
-    for coeffs, rel, rhs in rows:
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        norm.append((coeffs, rel, rhs))
-
-    m = len(norm)
-    n_slack = sum(1 for _, rel, _ in norm if rel in ("<=", ">="))
-    n_art = sum(1 for _, rel, _ in norm if rel in (">=", "="))
-    width = n + n_slack + n_art
-    art_cols = []
-
+    rows = [([ONE if k == i else ZERO for k in range(n)], hi) for i, (_, hi) in enumerate(lp.bounds)]
+    rows += [(coeffs, rhs) for coeffs, _, rhs in lp.constraints]
+    m = len(rows)
     tableau = []
-    basis = []
-    s_idx, a_idx = n, n + n_slack
-    for coeffs, rel, rhs in norm:
-        row = [ZERO] * (width + 1)
-        for j, c in enumerate(coeffs):
-            row[j] = c
-        if rel == "<=":
-            row[s_idx] = ONE
-            basis.append(s_idx)
-            s_idx += 1
-        elif rel == ">=":
-            row[s_idx] = -ONE
-            s_idx += 1
-            row[a_idx] = ONE
-            art_cols.append(a_idx)
-            basis.append(a_idx)
-            a_idx += 1
-        else:
-            row[a_idx] = ONE
-            art_cols.append(a_idx)
-            basis.append(a_idx)
-            a_idx += 1
-        row[width] = rhs
-        tableau.append(row)
-
-    blocked = set(pinned)
-
-    if art_cols:
-        phase1 = [ZERO] * width
-        for j in art_cols:
-            phase1[j] = -ONE
-        val = _optimize(tableau, basis, phase1, width, blocked)
-        if val != 0:
-            raise Infeasible("no feasible point")
-        # drive any residual artificial out of the basis
-        for r, b in enumerate(basis):
-            if b in art_cols:
-                pivot_col = None
-                for j in range(n + n_slack):
-                    if j not in blocked and tableau[r][j] != 0:
-                        pivot_col = j
-                        break
-                if pivot_col is not None:
-                    _pivot(tableau, basis, r, pivot_col, width)
-                # else the row is redundant; leave the zero artificial basic
-        blocked |= set(art_cols)
-
-    phase2 = [ZERO] * width
-    for j in range(n):
-        phase2[j] = obj[j]
-    value = _optimize(tableau, basis, phase2, width, blocked)
-    x = [ZERO] * n
-    for r, b in enumerate(basis):
-        if b < n:
-            x[b] = tableau[r][width]
-    return value, x
-
-
-def _optimize(tableau, basis, obj, width, blocked):
-    """Run simplex iterations with Bland's rule; returns the optimum."""
-    m = len(tableau)
+    for r, (coeffs, rhs) in enumerate(rows):
+        slack = [ZERO] * m
+        slack[r] = ONE
+        tableau.append(coeffs + slack + [rhs])
+    # last row: the negated reduced costs, and the objective value at the end
+    tableau.append([-c for c in lp.objective] + [ZERO] * (m + 1))
+    basis = list(range(n, n + m))
     while True:
-        # reduced costs: cbar_j = obj_j - sum_r obj_basis[r] * tableau[r][j]
-        y = [obj[basis[r]] for r in range(m)]
-        entering = -1
-        for j in range(width):
-            if j in blocked:
-                continue
-            cbar = obj[j]
-            for r in range(m):
-                if y[r] != 0 and tableau[r][j] != 0:
-                    cbar -= y[r] * tableau[r][j]
-            if cbar > 0:
-                entering = j
-                break  # Bland: first improving column
-        if entering < 0:
-            value = ZERO
-            for r in range(m):
-                if y[r] != 0:
-                    value += y[r] * tableau[r][width]
-            return value
-        leaving = -1
-        best = None
+        cost = tableau[m]
+        # Bland: the first improving column enters, the smallest tied basic
+        # variable leaves
+        entering = next((j for j in range(n + m) if cost[j] < 0), None)
+        if entering is None:
+            break
+        leaving = best = None
         for r in range(m):
             a = tableau[r][entering]
             if a > 0:
-                ratio = tableau[r][width] / a
+                ratio = tableau[r][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    best = ratio
-                    leaving = r
-        if leaving < 0:
-            raise Unbounded("unbounded direction found")
-        _pivot(tableau, basis, leaving, entering, width)
+                    best, leaving = ratio, r
+        _pivot(tableau, basis, leaving, entering)
+    x = [ZERO] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = tableau[r][-1]
+    return tableau[m][-1], x
 
 
-def _pivot(tableau, basis, r, c, width):
+def _pivot(tableau, basis, r, c):
     piv = tableau[r][c]
     row = tableau[r]
     if piv != 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .functors import (
     Const,
@@ -186,29 +187,19 @@ def lp_vertices(lp: LinearProgram, budget: OracleBudget = DEFAULT_BUDGET):
     if n > 6:
         raise OracleScaleError("vertex oracle capped at 6 variables")
     hyperplanes = []  # (coeffs, rhs) treated as equalities when active
-    mandatory = []
     for i, (lo, hi) in enumerate(lp.bounds):
         e_lo = [ZERO] * n
         e_lo[i] = ONE
         hyperplanes.append((e_lo, lo))
         if hi != lo:
             hyperplanes.append((list(e_lo), hi))
-    for coeffs, rel, rhs in lp.constraints:
-        if rel == "=":
-            mandatory.append((list(coeffs), rhs))
-        else:
-            hyperplanes.append((list(coeffs), rhs))
-    need = n - len(mandatory)
-    if need < 0:
-        need = 0
-    from math import comb
-
-    if comb(len(hyperplanes), need) > budget.max_bases:
+    for coeffs, _, rhs in lp.constraints:
+        hyperplanes.append((list(coeffs), rhs))
+    if comb(len(hyperplanes), n) > budget.max_bases:
         raise OracleScaleError("too many candidate active sets")
     seen = set()
-    for extra in itertools.combinations(range(len(hyperplanes)), need):
-        rows = list(mandatory) + [hyperplanes[k] for k in extra]
-        sol = _solve_square(rows, n)
+    for extra in itertools.combinations(range(len(hyperplanes)), n):
+        sol = _solve_square([hyperplanes[k] for k in extra], n)
         if sol is None:
             continue
         if not _feasible(lp, sol):
@@ -223,13 +214,8 @@ def _feasible(lp, x):
     for xi, (lo, hi) in zip(x, lp.bounds):
         if not lo <= xi <= hi:
             return False
-    for coeffs, rel, rhs in lp.constraints:
-        lhs = sum(c * xi for c, xi in zip(coeffs, x))
-        if rel == "<=" and lhs > rhs:
-            return False
-        if rel == ">=" and lhs < rhs:
-            return False
-        if rel == "=" and lhs != rhs:
+    for coeffs, _, rhs in lp.constraints:
+        if sum(c * xi for c, xi in zip(coeffs, x)) > rhs:
             return False
     return True
 
@@ -238,12 +224,11 @@ def kantorovich_vertex_oracle(lp: LinearProgram, budget: OracleBudget = DEFAULT_
     """Best objective over all basic feasible vertices; the independent
     check for solve_max on the nonexpansiveness polytopes (which are
     bounded, so the optimum sits at a vertex)."""
-    sign = ONE if lp.sense == "max" else -ONE
     best = None
     for v in lp_vertices(lp, budget):
         obj = sum(c * x for c, x in zip(lp.objective, v))
-        if best is None or sign * obj > sign * best:
+        if best is None or obj > best:
             best = obj
     if best is None:
-        raise OracleScaleError("no vertex found (infeasible or degenerate input)")
+        raise OracleScaleError("no vertex found (degenerate input)")
     return best

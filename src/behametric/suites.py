@@ -33,15 +33,11 @@ from .lifting import (
     WASSERSTEIN,
     LiftingEngine,
     check_well_behaved,
-    kantorovich_linear_value,
+    kantorovich_lp,
     lift_dist,
 )
-from .lp import LinearProgram, solve_max
-from .oracle import (
-    DEFAULT_BUDGET,
-    kantorovich_vertex_oracle,
-    wasserstein_oracle,
-)
+from .lp import solve_max
+from .oracle import kantorovich_vertex_oracle, wasserstein_oracle
 from .values import (
     INF,
     TOP_INF,
@@ -49,8 +45,6 @@ from .values import (
     TopBound,
     Value,
     add_ext,
-    dist_e,
-    zero,
 )
 
 ATOMS = ("a", "b", "c", "d", "e")
@@ -289,37 +283,21 @@ def suite_oracle(seed=0, n=30) -> SuiteResult:
             checked += 1
             if engine != brute:
                 failures.append(("dist-w", p1, p2, engine, brute))
-            if not bound.is_infinite:
-                lp = _kantorovich_lp(d, p1, p2, bound)
-                if lp is not None:
-                    val, _ = solve_max(lp)
-                    vertex = kantorovich_vertex_oracle(lp)
-                    checked += 1
-                    if val != vertex:
-                        failures.append(("dist-k-lp", p1, p2, val, vertex))
+            points = sorted(set(p1.support()) | set(p2.support()))
+            if not bound.is_infinite and len(points) <= 4:
+                coeffs = [p1.prob(x) - p2.prob(x) for x in points]
+                # every entry is finite under a finite bound
+                finite_pairs = [
+                    (i, j, d.get(points[i], points[j]).as_fraction())
+                    for i, j in itertools.combinations(range(len(points)), 2)
+                ]
+                lp = kantorovich_lp(coeffs, finite_pairs, bound.limit)
+                val, _ = solve_max(lp)
+                vertex = kantorovich_vertex_oracle(lp)
+                checked += 1
+                if val != vertex:
+                    failures.append(("dist-k-lp", p1, p2, val, vertex))
     return SuiteResult("oracle", not failures, checked, failures, seed)
-
-
-def _kantorovich_lp(d, p1, p2, bound):
-    """The nonexpansiveness LP for a pair of distributions, one orientation."""
-    points = sorted(set(p1.support()) | set(p2.support()))
-    if len(points) > 4:
-        return None
-    coeffs = [p1.prob(x) - p2.prob(x) for x in points]
-    constraints = []
-    for i, j in itertools.combinations(range(len(points)), 2):
-        q = d.get(points[i], points[j])
-        if q.is_infinite:
-            continue
-        row = [Fraction(0)] * len(points)
-        row[i], row[j] = Fraction(1), Fraction(-1)
-        constraints.append((row, "<=", q.as_fraction()))
-        constraints.append(([-c for c in row], "<=", q.as_fraction()))
-    return LinearProgram(
-        objective=coeffs,
-        bounds=[(Fraction(0), bound.limit)] * len(points),
-        constraints=constraints,
-    )
 
 
 SUITES = {

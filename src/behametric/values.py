@@ -281,7 +281,13 @@ def pth_root(v: Value, p: int) -> Value:
         return Value(Fraction(num, den), v.bound)
     # logs of the ints: float(v.mag) overflows once either passes ~1e308
     log_mag = math.log(v.mag.numerator) - math.log(v.mag.denominator)
-    return Value(math.exp(log_mag / p), v.bound)
+    try:
+        return Value(math.exp(log_mag / p), v.bound)
+    except OverflowError:
+        raise ConfigurationError(
+            f"irrational {p}-th root of a {v.mag.numerator.bit_length()}-bit "
+            "magnitude exceeds the float range"
+        ) from None
 
 
 def pth_power(v: Value, p: int) -> Value:
@@ -299,7 +305,8 @@ def values_close(a: Value, b: Value, mode: NumericMode) -> bool:
     if a.is_infinite or b.is_infinite:
         return a.is_infinite and b.is_infinite
     tol = mode.tolerance if not mode.is_exact else 1e-9
-    return abs(a.as_float() - b.as_float()) <= tol
+    # as rationals: a float subtraction overflows past ~1e308
+    return abs(Fraction(a.mag) - Fraction(b.mag)) <= Fraction(tol)
 
 
 def format_magnitude(m: Magnitude) -> str:

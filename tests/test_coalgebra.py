@@ -1,7 +1,11 @@
+import copy
 import json
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from behametric.coalgebra import (
     MetricTS,
@@ -18,10 +22,11 @@ from behametric.coalgebra import (
 from behametric.functors import (
     Distribution,
     PseudometricTable,
+    ShapeError,
     Tagged,
     validate,
 )
-from behametric.values import INF, TOP_INF, TOP_ONE, Value
+from behametric.values import INF, TOP_INF, TOP_ONE, ConfigurationError, Value
 
 
 FIG1_LEFT = {
@@ -248,6 +253,11 @@ class TestLiftInstance:
         assert inst.t1 == ("x1", "x2")
         assert inst.space.get("x1", "x2") == Value(F(1), TOP_INF)
 
+    def test_non_object_document(self):
+        with pytest.raises(SchemaError) as err:
+            load_lift_instance([])
+        assert err.value.path == "$"
+
     def test_structures_validated(self):
         doc = {
             "top": "1",
@@ -259,3 +269,100 @@ class TestLiftInstance:
         with pytest.raises(SchemaError) as err:
             load_lift_instance(doc)
         assert "t2" in str(err.value)
+
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+FUZZ_DOCS = [json.loads(f.read_text()) for f in sorted(DEMO_DATA.glob("*.json"))]
+# the generic form of a demo system, so the fuzz also reaches expressions
+# and structures
+FUZZ_DOCS.append(serialize(load_system(FUZZ_DOCS[1], eps=F(1, 20))))
+DOC_ROOTS = {
+    "$", "kind", "top", "c", "states", "transitions", "terminate",
+    "propositions", "valuation", "tau", "spaces", "expr", "alpha",
+}
+DROP = object()
+OTHER_TYPES = [None, True, 0, 3, -1, 2.5, 10**30, "", "s", [], [1, 2], [[1]], {}, {"a": 1}]
+BAD_RATIONALS = ["1/0", "abc", "1//2", "nan", "-inf", "1e999", " ", "--1", "eps/2", "1/2+", "0x10", "-1/2", "2", "inf"]
+
+
+def _json_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutate(doc, where, replacement):
+    paths = list(_json_paths(doc))
+    if not paths:
+        return
+    path = paths[where % len(paths)]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(replacement)
+
+
+class TestLoaderFuzz:
+    """Mutated demo documents: drop a key or element, swap a value for one
+    of another JSON type, or put in a malformed rational."""
+
+    @settings(
+        derandomize=True,
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        doc_index=st.integers(0, len(FUZZ_DOCS) - 1),
+        mutations=st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from([DROP] + OTHER_TYPES + BAD_RATIONALS),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_only_path_bearing_loader_errors_escape(self, doc_index, mutations):
+        doc = copy.deepcopy(FUZZ_DOCS[doc_index])
+        for where, replacement in mutations:
+            _mutate(doc, where, replacement)
+        try:
+            load_system(doc, eps=F(1, 20))
+        except (SchemaError, ShapeError, ConfigurationError) as exc:
+            head = re.match(r"[^.\[:\s]+", str(exc))
+            assert head and head.group(0) in DOC_ROOTS, str(exc)
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (dict(FIG1_LEFT, states=["x", ["y"]]), "states[1]"),
+            (dict(FIG1_LEFT, c="1//2"), "c"),
+            (dict(FIG1_LEFT, terminate={"z": {}}), "terminate[z]"),
+            (
+                dict(FIG1_LEFT, transitions={"x": {"u": "-1/2", "z": "3/2"}, "y": {"u": "1"}, "u": {"u": "1"}}),
+                "transitions[x][u]",
+            ),
+            ({"kind": "metric_ts", "states": ["s"], "tau": {"s": 2.5}}, "tau[s]"),
+            ({"kind": "metric_ts", "states": [], "propositions": {"r": {"carrier": ["a", None]}}}, "propositions.r.carrier[1]"),
+            ({"kind": "metric_ts", "states": [], "propositions": {"r": {"carrier": ["a"], "d": 3}}}, "propositions.r.d"),
+            ({"kind": "metric_ts", "states": [], "propositions": {"r": {"carrier": ["a"], "d": [["a", [], "1"]]}}}, "propositions.r.d[0]"),
+            ({"top": "-1/2"}, "top"),
+            ({"top": "1", "expr": {"id": {"discount": "2"}}}, "expr.id.discount"),
+            ({"top": "1", "expr": {"const": []}}, "expr.const"),
+            ({"top": "1", "expr": {"diagsquare": "id"}, "states": []}, "expr"),
+        ],
+    )
+    def test_found_by_the_fuzz(self, doc, path):
+        with pytest.raises(SchemaError) as err:
+            load_system(doc, eps=F(1, 20))
+        assert err.value.path == path

@@ -12,7 +12,7 @@ from behametric.functors import (
     OracleScaleError,
     PseudometricTable,
 )
-from behametric.lifting import WASSERSTEIN, lift_dist
+from behametric.lifting import KANTOROVICH, WASSERSTEIN, kantorovich_linear_value, lift_dist
 from behametric.lp import LinearProgram, solve_max
 from behametric.oracle import (
     OracleBudget,
@@ -102,7 +102,7 @@ class TestLpVertexOracle:
                 cons.append(
                     (
                         [F(rng.randint(-2, 2)) for _ in range(n)],
-                        rng.choice(["<=", ">="]),
+                        "<=",
                         F(rng.randint(1, 4)),
                     )
                 )
@@ -142,3 +142,64 @@ class TestBudget:
         p2 = Distribution({d.carrier[0]: F(1)})
         with pytest.raises(OracleScaleError):
             wasserstein_oracle(Dist(Id()), d, p1, p2, OracleBudget(max_support=4))
+
+
+def _both_orientations(points, coeffs, d, bound):
+    """The larger vertex-oracle optimum of +coeffs and -coeffs over the
+    nonexpansive f: points -> [0, hi], with the LP written out here."""
+    pairs = [
+        (i, j, d.get(points[i], points[j]))
+        for i in range(len(points))
+        for j in range(i + 1, len(points))
+    ]
+    finite = [(i, j, v.as_fraction()) for i, j, v in pairs if not v.is_infinite]
+    hi = bound.limit if not bound.is_infinite else sum(q for _, _, q in finite)
+    rows = []
+    for i, j, q in finite:
+        row = [F(0)] * len(points)
+        row[i], row[j] = F(1), F(-1)
+        rows += [(row, "<=", q), ([-c for c in row], "<=", q)]
+    box = [(F(0), hi)] * len(points)
+    return max(
+        kantorovich_vertex_oracle(LinearProgram([s * c for c in coeffs], box, rows))
+        for s in (1, -1)
+    )
+
+
+class TestKantorovichOrientation:
+    """One solve of the Kantorovich LP, in the orientation of the given
+    coefficients, gives the supremum of the absolute value."""
+
+    def test_dist_pairs_match_both_orientations(self):
+        rng = random.Random(17)
+        for _ in range(15):
+            d = random_pseudometric(rng, TOP_ONE, n_atoms=rng.randint(2, 4))
+            p1 = random_distribution(rng, d.carrier)
+            p2 = random_distribution(rng, d.carrier)
+            points = sorted(set(p1.support()) | set(p2.support()))
+            coeffs = [p1.prob(x) - p2.prob(x) for x in points]
+            brute = _both_orientations(points, coeffs, d, TOP_ONE)
+            ground = {
+                (i, j): d.get(points[i], points[j])
+                for i in range(len(points))
+                for j in range(i + 1, len(points))
+            }
+            assert kantorovich_linear_value(len(points), ground, coeffs, TOP_ONE) == Value(brute, TOP_ONE)
+            assert lift_dist(Dist(Id()), d, KANTOROVICH, p1, p2) == Value(brute, TOP_ONE)
+
+    def test_diag_square_pairs_match_both_orientations(self):
+        # the diagonal square lives under top = inf only
+        rng = random.Random(23)
+        finite = 0
+        for _ in range(60):
+            d = random_pseudometric(rng, TOP_INF, n_atoms=rng.randint(2, 4))
+            t1 = random_structure(rng, DiagSquare(Id()), d.carrier)
+            t2 = random_structure(rng, DiagSquare(Id()), d.carrier)
+            engine = lift_dist(DiagSquare(Id()), d, KANTOROVICH, t1, t2)
+            if engine.is_infinite:
+                continue
+            points = sorted({*t1, *t2})
+            coeffs = [t1.count(x) - t2.count(x) for x in points]
+            assert engine == Value(_both_orientations(points, coeffs, d, TOP_INF), TOP_INF)
+            finite += 1
+        assert finite >= 30

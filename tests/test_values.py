@@ -171,6 +171,10 @@ class TestRoots:
         tiny = pth_root(Value(F(2, 10**401), TOP_ONE), 2)
         assert tiny.as_float() == pytest.approx(2**0.5 * 10**-200.5, rel=1e-12)
 
+    def test_root_past_the_float_range_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="float range"):
+            pth_root(Value(F(10**700 + 1), TOP_INF), 2)
+
     def test_large_cubes_are_exact(self):
         for n in (3**100, 2**200 + 1, 10**60 - 7):
             v = pth_root(Value(F(n**3, (n + 1) ** 3), TOP_INF), 3)
@@ -186,6 +190,12 @@ class TestModes:
     def test_exact_mode_exact_compare(self):
         assert values_close(v1("1/3"), v1("1/3"), EXACT)
         assert not values_close(v1("1/3"), v1("1/3") if False else v1("2/3"), EXACT)
+
+    def test_close_past_the_float_range(self):
+        big = Value(F(10**400), TOP_INF)
+        assert values_close(big, big, NumericMode.approx(1e-9))
+        assert not values_close(big, Value(F(10**400 + 1), TOP_INF), NumericMode.approx(1e-9))
+        assert not values_close(big, Value(1e308, TOP_INF), EXACT)
 
     def test_bad_tolerance(self):
         with pytest.raises(ConfigurationError):
