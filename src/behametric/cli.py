@@ -10,9 +10,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .coalgebra import SchemaError, load_lift_instance, load_system
+from .coalgebra import SchemaError, load_lift_instance, load_system, parse_weight
 from .fixpoint import (
     IterationOptions,
     behavioral_distances,
@@ -126,10 +125,10 @@ def _threads(args) -> int:
 
 def _load(args):
     with open(args.system, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = fh.read()
     mode = _mode_from(args)
-    eps = Fraction(args.eps) if args.eps else None
-    c = Fraction(args.c) if args.c else None
+    eps = parse_weight(args.eps, path="--eps") if args.eps else None
+    c = parse_weight(args.c, path="--c") if args.c else None
     return load_system(doc, mode=mode, eps=eps, c=c)
 
 
@@ -167,7 +166,7 @@ def cmd_dist(args) -> int:
 
 def cmd_lift(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
-        inst = load_lift_instance(json.load(fh))
+        inst = load_lift_instance(fh.read())
 
     def show(v: Value) -> str:
         return format_magnitude(v.mag)

@@ -10,6 +10,7 @@ generic System over the functor grammar.  Rationals travel as "p/q" strings
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,6 +59,24 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 # rational parsing with a symbolic epsilon
 
+# Fraction builds 10**e exactly, so "1e100000000" would stall for minutes;
+# larger exponents (already far past any double) are refused before it runs
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _fraction(s: str, text, path, problem: str) -> Fraction:
+    """Fraction(s) for a string taken from ``text``; errors name ``path``."""
+    exp = _EXPONENT.search(s) if "e" in s or "E" in s else None
+    if exp:
+        digits = exp.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise SchemaError(path, f"exponent of {text!r} exceeds {MAX_EXPONENT}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(path, f"{problem} {text!r}") from None
+
 
 def parse_weight(text, eps: Fraction | None = None, path="weight") -> Fraction:
     """Parse "p/q" optionally combined with a symbolic eps, e.g. "1/2-eps".
@@ -81,15 +100,12 @@ def parse_weight(text, eps: Fraction | None = None, path="weight") -> Fraction:
                 raise SchemaError(path, f"{text!r} needs an eps value")
             term = eps
         else:
-            try:
-                term = Fraction(token)
-            except (ValueError, ZeroDivisionError):
-                raise SchemaError(path, f"malformed weight {text!r}") from None
+            term = _fraction(token, text, path, "malformed weight")
         total += sign * term
         token = ""
 
     for i, ch in enumerate(s):
-        if ch in "+-" and i > 0:
+        if ch in "+-" and i > 0 and s[i - 1] not in "eE":  # not an exponent sign
             flush()
             sign = 1 if ch == "+" else -1
         else:
@@ -102,10 +118,16 @@ def parse_rational_or_inf(text, path="value"):
     s = str(text).strip()
     if s in ("inf", "infinity", "∞"):
         return INF
+    return _fraction(s, text, path, "not a rational:")
+
+
+def parse_json(text):
+    """json.loads with every failure, Python's 4,300-digit limit on integers
+    and deep nesting included, raised as a SchemaError at "$"."""
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(path, f"not a rational: {text!r}") from None
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError("$", f"invalid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +486,7 @@ def load_system(
 ) -> System:
     """Parse a system document (dict or JSON text) of any supported kind."""
     if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+        doc = parse_json(doc)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")
     kind = doc.get("kind", "system")
@@ -583,7 +605,7 @@ class LiftInstance:
 
 def load_lift_instance(doc) -> LiftInstance:
     if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
+        doc = parse_json(doc)
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")
     bound = _parse_top(doc)

@@ -9,7 +9,7 @@ use Tagged, distributions use Distribution).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,63 +113,85 @@ def sorted_structs(xs):
 class PseudometricTable:
     """Symmetric distance table with zero diagonal on a finite carrier.
 
-    The pseudometric axioms are validated on construction; entries all live
-    under one TopBound.
+    Entries are dense rows by carrier position: ``_index`` maps an atom to
+    its position and ``_rows[i][j]`` = ``_rows[j][i]`` (one shared Value) is
+    their distance.  The pseudometric axioms are validated on construction;
+    entries all live under one TopBound.  The triangle check compares
+    integers, the magnitudes scaled by the LCM of their denominators, unless
+    some are doubles (irrational p-norm roots); flagged triples are re-judged
+    as Values, so verdicts and messages are those of Value arithmetic.
     """
 
     def __init__(self, carrier, entries, bound: TopBound, check: bool = True, slack=None):
         self.carrier = tuple(carrier)
-        if len(set(self.carrier)) != len(self.carrier):
+        self._index = {a: i for i, a in enumerate(self.carrier)}
+        if len(self._index) != len(self.carrier):
             raise ShapeError("duplicate carrier atoms")
         self.bound = bound
-        self._d = {}
+        n = len(self.carrier)
+        rows = [[None] * n for _ in range(n)]
         for (a, b), v in entries.items():
-            if a not in self.carrier or b not in self.carrier:
+            i, j = self._index.get(a), self._index.get(b)
+            if i is None or j is None:
                 raise ShapeError(f"unknown atom in entry ({a!r}, {b!r})")
             if not isinstance(v, Value):
                 v = Value(Fraction(v), bound)
             if v.bound != bound:
                 raise ConfigurationError("table entry under a different bound")
-            key = (a, b) if a <= b else (b, a)
-            prev = self._d.get(key)
-            if prev is not None and prev != v:
+            if rows[i][j] is not None and rows[i][j] != v:
+                key = (a, b) if a <= b else (b, a)
                 raise ShapeError(f"conflicting entries for {key}")
-            self._d[key] = v
-        for a in self.carrier:
-            diag = self._d.setdefault((a, a), zero(bound))
-            if not diag.is_zero:
+            rows[i][j] = rows[j][i] = v
+        for i, a in enumerate(self.carrier):
+            if rows[i][i] is not None and not rows[i][i].is_zero:
                 raise ShapeError(f"nonzero diagonal at {a!r}")
-        for a, b in itertools.combinations(self.carrier, 2):
-            self._d.setdefault((a, b) if a <= b else (b, a), zero(bound))
+        z = zero(bound)
+        self._rows = [[z if v is None else v for v in row] for row in rows]
         if check:
             self._check_triangle(slack)
 
     def _check_triangle(self, slack=None):
-        """slack permits the few-ulp violations that float-mode rounding of
-        otherwise-valid tables introduces."""
-        for a, b, c in itertools.permutations(self.carrier, 3):
-            lhs = self.get(a, c)
-            # clamp: lhs <= top anyway, so capping the sum changes nothing
-            rhs = add_ext(self.get(a, b), self.get(b, c), clamp=True)
-            if lhs > rhs:
-                if slack is not None and not lhs.is_infinite:
-                    if lhs.as_float() - rhs.as_float() <= slack:
-                        continue
-                raise ShapeError(
-                    f"triangle inequality fails: d({a},{c})={lhs} > "
-                    f"d({a},{b})+d({b},{c})={rhs}"
-                )
+        """INF counts as a number above any sum of two finite entries.  Only
+        i < k is visited: (i, j, k) and (k, j, i) fail together, so the first
+        failure is the first among all permutations.  slack permits the
+        few-ulp violations that float-mode rounding of valid tables adds."""
+        rows, n, limit = self._rows, len(self.carrier), self.bound.limit
+        finite = [v.mag for row in rows for v in row if not v.is_infinite]
+        exact = all(isinstance(m, Fraction) for m in finite)
+        lcm = math.lcm(*{m.denominator for m in finite}) if exact else 1
+        conv = (lambda m: m.numerator * (lcm // m.denominator)) if exact else (lambda m: m)
+        big = 4 * conv(max(finite, default=Fraction(0))) + 1
+        mags = [[big if v.is_infinite else conv(v.mag) for v in row] for row in rows]
+        # add_ext clamps a sum past top to limit or float(limit): with doubles
+        # present, an entry above the lower of the two is always re-judged
+        low = None if exact or limit is None else min(limit, float(limit))
+        lhs = mags if low is None else [[big if m > low else m for m in row] for row in mags]
+        for i in range(n):
+            li, ri = lhs[i], mags[i]
+            for j in range(n):
+                dij, rj = ri[j], mags[j]
+                for k in range(i + 1, n):
+                    if li[k] > dij + rj[k] and j != i and j != k:
+                        d_ik, rhs = rows[i][k], add_ext(rows[i][j], rows[j][k], clamp=True)
+                        if d_ik > rhs and (slack is None or d_ik.is_infinite
+                                           or d_ik.as_float() - rhs.as_float() > slack):
+                            a, b, c = self.carrier[i], self.carrier[j], self.carrier[k]
+                            raise ShapeError(
+                                f"triangle inequality fails: d({a},{c})={d_ik} > "
+                                f"d({a},{b})+d({b},{c})={rhs}"
+                            )
 
     def get(self, a, b) -> Value:
-        key = (a, b) if a <= b else (b, a)
         try:
-            return self._d[key]
+            return self._rows[self._index[a]][self._index[b]]
         except KeyError:
             raise ShapeError(f"atoms {a!r}, {b!r} not in carrier") from None
 
     def entries(self):
-        for a, b in itertools.combinations(self.carrier, 2):
-            yield a, b, self.get(a, b)
+        for i, a in enumerate(self.carrier):
+            row = self._rows[i]
+            for j in range(i + 1, len(self.carrier)):
+                yield a, self.carrier[j], row[j]
 
     def relabel(self, mapping) -> "PseudometricTable":
         """Rename carrier atoms along a bijection."""

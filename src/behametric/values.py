@@ -225,7 +225,7 @@ def scale(v: Value, c: Fraction) -> Value:
     c = Fraction(c)
     if c <= 0:
         raise ConfigurationError("scale factor must be positive")
-    if v.mag is INF:
+    if v.mag is INF or c == 1:
         return v
     return Value(v.mag * c, v.bound)
 

@@ -52,6 +52,21 @@ class TestDist:
         assert "transitions: expected a JSON object" in err
         assert "Traceback" not in err
 
+    def test_huge_eps_exponent_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "dist", str(DATA / "fig1_left.json"), "--eps", "1e100000000"
+        )
+        assert code == 1 and out == ""
+        assert "--eps: exponent" in err and "Traceback" not in err
+
+    def test_oversized_json_integer_rejected(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text('{"kind": "prob_ts", "c": ' + "9" * 5000 + "}")
+        for argv in (("dist", str(big)), ("lift", str(big))):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: $: ") and "Traceback" not in err
+
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run(capsys, "dist", "no-such-file.json")
         assert code == 1 and "error" in err

@@ -58,6 +58,50 @@ class TestParseWeight:
         with pytest.raises(SchemaError):
             parse_weight("1/2-")
 
+    def test_signed_exponents(self):
+        assert parse_weight("1e-5") == F(1, 100000)
+        assert parse_weight("1/2-5E-1") == 0
+        assert parse_weight("2.5e+1-eps", F(1, 2)) == F(49, 2)
+
+
+class TestHugeNumbers:
+    """Exponents past MAX_EXPONENT and integers past Python's digit limit
+    are rejected at once, with a path."""
+
+    HUGE = "1e100000000"
+
+    def test_exponent_in_weight(self):
+        doc = dict(FIG1_LEFT, transitions=dict(FIG1_LEFT["transitions"], y={"u": self.HUGE}))
+        with pytest.raises(SchemaError) as err:
+            load_system(doc, eps=F(1, 20))
+        assert err.value.path == "transitions[y][u]"
+        assert "exponent" in str(err.value)
+
+    def test_exponent_in_d_entry(self):
+        doc = {
+            "kind": "system", "top": "inf",
+            "spaces": {"k": {"carrier": ["a", "b"], "d": [["a", "b", self.HUGE]]}},
+            "expr": {"const": "k"}, "states": ["s"], "alpha": {"s": "a"},
+        }
+        with pytest.raises(SchemaError) as err:
+            load_system(doc)
+        assert err.value.path == "spaces.k.d[0]"
+
+    def test_exponent_bound(self):
+        from behametric.coalgebra import MAX_EXPONENT
+
+        assert parse_weight(f"1e-{MAX_EXPONENT}") == F(1, 10**MAX_EXPONENT)
+        for text in (f"1e{MAX_EXPONENT + 1}", "1e" + "9" * 5000, "1/2-1e99999"):
+            with pytest.raises(SchemaError, match="exponent"):
+                parse_weight(text)
+
+    @pytest.mark.parametrize("load", [load_system, load_lift_instance])
+    def test_oversized_json_integer(self, load):
+        text = '{"kind": "prob_ts", "top": "1", "c": ' + "9" * 5000 + "}"
+        with pytest.raises(SchemaError) as err:
+            load(text)
+        assert err.value.path == "$"
+
 
 class TestProbTs:
     def test_weights_must_sum_to_one(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -27,10 +28,13 @@ from behametric.functors import (
     validate,
 )
 from behametric.values import (
+    INF,
     ConfigurationError,
     TOP_INF,
     TOP_ONE,
+    TopBound,
     Value,
+    add_ext,
     zero,
 )
 
@@ -87,10 +91,41 @@ class TestPseudometricTable:
             )
 
     def test_nonzero_diagonal_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"^nonzero diagonal at 'a'$"):
             PseudometricTable(
                 ["a"], {("a", "a"): Value(F(1, 2), TOP_ONE)}, TOP_ONE
             )
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: PseudometricTable(["a", "b", "a"], {}, TOP_ONE),
+             ShapeError, "duplicate carrier atoms"),
+            (lambda: PseudometricTable(["a", "b"], {("a", "z"): F(1, 2)}, TOP_ONE),
+             ShapeError, "unknown atom in entry ('a', 'z')"),
+            (lambda: PseudometricTable(
+                ["b", "a"], {("b", "a"): F(1, 2), ("a", "b"): F(1, 3)}, TOP_ONE),
+             ShapeError, "conflicting entries for ('a', 'b')"),
+            (lambda: PseudometricTable(
+                ["a", "b"], {("a", "b"): F(1, 2), ("b", "b"): F(1, 4)}, TOP_ONE),
+             ShapeError, "nonzero diagonal at 'b'"),
+            (lambda: PseudometricTable(["a", "b"], {("a", "b"): Value(F(1), TOP_INF)}, TOP_ONE),
+             ConfigurationError, "table entry under a different bound"),
+            (lambda: discrete_table(["a", "b"], TOP_ONE).get("a", "z"),
+             ShapeError, "atoms 'a', 'z' not in carrier"),
+        ],
+        ids=["duplicate", "unknown-atom", "conflict", "diagonal", "bound", "get-unknown"],
+    )
+    def test_construction_errors_keep_type_and_message(self, build, error, message):
+        with pytest.raises(error) as err:
+            build()
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_equal_repeated_entries_accepted(self):
+        t = PseudometricTable(
+            ["a", "b"], {("a", "b"): F(1, 2), ("b", "a"): Value(F(1, 2), TOP_ONE)}, TOP_ONE
+        )
+        assert t.get("b", "a") == Value(F(1, 2), TOP_ONE)
 
     def test_symmetric_lookup(self):
         t = PseudometricTable(
@@ -105,6 +140,124 @@ class TestPseudometricTable:
             ["a", "b"], {("a", "b"): Value(INF, TOP_INF)}, TOP_INF
         )
         assert t.get("a", "b").is_infinite
+
+
+def oracle_check_triangle(table, slack=None):
+    """Reference: every permutation of three atoms, compared as Values."""
+    for a, b, c in itertools.permutations(table.carrier, 3):
+        lhs = table.get(a, c)
+        rhs = add_ext(table.get(a, b), table.get(b, c), clamp=True)
+        if lhs > rhs:
+            if slack is not None and not lhs.is_infinite:
+                if lhs.as_float() - rhs.as_float() <= slack:
+                    continue
+            raise ShapeError(
+                f"triangle inequality fails: d({a},{c})={lhs} > "
+                f"d({a},{b})+d({b},{c})={rhs}"
+            )
+
+
+def triangle_verdicts(carrier, entries, bound, slack):
+    """(oracle message, new-check message), None for an accepted table."""
+    unchecked = PseudometricTable(carrier, entries, bound, check=False)
+    verdicts = []
+    for check in (
+        lambda: oracle_check_triangle(unchecked, slack),
+        lambda: PseudometricTable(carrier, entries, bound, slack=slack),
+    ):
+        try:
+            check()
+            verdicts.append(None)
+        except ShapeError as exc:
+            verdicts.append(str(exc))
+    return verdicts
+
+
+# tops whose double rounds exactly (1), down (1/3) and up (1/10)
+TOPS = [TOP_ONE, TopBound.finite(F(1, 3)), TopBound.finite(F(1, 10)), TOP_INF]
+
+
+def random_entries(rng, carrier, bound):
+    """A line metric within [0, top], with a few entries overwritten by
+    values that may break it: top itself, a double rounded off a rational,
+    INF under an infinite top."""
+    top = bound.limit if bound.limit is not None else F(4)
+    points = {a: rng.choice([F(0), top / 3, top / 2, top]) for a in carrier}
+    entries = {(a, b): abs(points[a] - points[b]) for a, b in itertools.combinations(carrier, 2)}
+    pool = [top, top / 2, top / 3, top / 7, float(top), float(top / 3), rng.random() * float(top)]
+    if bound.is_infinite:
+        pool += [INF, INF]
+    for key in rng.sample(sorted(entries), rng.randint(0, 3)):
+        entries[key] = rng.choice(pool)
+    for key in rng.sample(sorted(entries), rng.randint(0, 2)):
+        if entries[key] is not INF:
+            entries[key] = float(entries[key])  # an inexact magnitude
+    return {key: Value(m if m is INF or isinstance(m, float) else F(m), bound)
+            for key, m in entries.items()}
+
+
+class TestTriangleCheckAgainstOracle:
+    def test_random_tables_same_verdict_and_message(self):
+        rng = random.Random(2024)
+        names = ["q", "b", "x", "a", "m", "c"]  # carrier order is not name order
+        seen = set()
+        for _ in range(600):
+            bound = rng.choice(TOPS)
+            carrier = rng.sample(names, rng.randint(3, 6))
+            entries = random_entries(rng, carrier, bound)
+            inexact = any(not v.is_exact for v in entries.values())
+            infinite = any(v.is_infinite for v in entries.values())
+            for slack in (None, 1e-12):
+                oracle, new = triangle_verdicts(carrier, entries, bound, slack)
+                assert new == oracle, (carrier, entries, bound, slack)
+                seen.add((oracle is None, inexact, infinite, bound.is_infinite))
+        # both verdicts with and without doubles, under both kinds of top
+        for accepted in (True, False):
+            for inexact in (True, False):
+                assert any(s[:2] == (accepted, inexact) for s in seen)
+        assert any(s[2] for s in seen) and any(not s[3] for s in seen)
+
+    def test_top_rounding_cases(self):
+        # a double of the top and a sum clamped to a double of the top
+        for bound in TOPS[1:3]:
+            top = bound.limit
+            for lhs, ab, bc in [
+                (float(top), top / 2, top / 2 + top / 3),
+                (float(top), top / 2, top / 3),
+                (top, float(top / 5), top * 3 / 4),
+                (top, top / 2, float(top) / 2),
+            ]:
+                entries = {
+                    ("a", "c"): Value(lhs, bound),
+                    ("a", "b"): Value(ab, bound),
+                    ("b", "c"): Value(bc, bound),
+                }
+                for slack in (None, 1e-12):
+                    oracle, new = triangle_verdicts(["a", "b", "c"], entries, bound, slack)
+                    assert new == oracle
+
+    @pytest.mark.parametrize("excess, accepted", [(F(1, 2 * 10**12), True), (F(2, 10**12), False)])
+    def test_float_mode_slack_edges(self, excess, accepted):
+        # float-mode tables hold doubles as Fractions; slack is 1e-12
+        ab, bc = F(0.1), F(0.2)
+        entries = {("a", "b"): ab, ("b", "c"): bc, ("a", "c"): ab + bc + excess}
+        entries = {k: Value(v, TOP_ONE) for k, v in entries.items()}
+        oracle, new = triangle_verdicts(["a", "b", "c"], entries, TOP_ONE, 1e-12)
+        assert new == oracle and (new is None) == accepted
+        oracle, new = triangle_verdicts(["a", "b", "c"], entries, TOP_ONE, None)
+        assert new == oracle and new.startswith("triangle inequality fails: d(a,c)=")
+
+    def test_infinite_entries(self):
+        inf, one = Value(INF, TOP_INF), Value(F(1), TOP_INF)
+        for entries in [
+            {("a", "b"): one, ("b", "c"): one, ("a", "c"): inf},
+            {("a", "b"): inf, ("b", "c"): one, ("a", "c"): inf},
+            {("a", "b"): inf, ("b", "c"): inf, ("a", "c"): one},
+            {("a", "b"): inf, ("b", "c"): inf, ("a", "c"): inf},
+        ]:
+            for slack in (None, 1e-12):
+                oracle, new = triangle_verdicts(["c", "b", "a"], entries, TOP_INF, slack)
+                assert new == oracle
 
 
 class TestExprInvariants:
