@@ -8,7 +8,6 @@ success, 1 validation error, 2 check failure, 3 non-convergence under
 
 import argparse
 import json
-import os
 import sys
 
 from .coalgebra import SchemaError, load_lift_instance, load_system, parse_weight
@@ -60,12 +59,6 @@ def _add_system_flags(p):
     )
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--strict", action="store_true", help="exit 3 when unconverged")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads per iteration (default: BEHAMETRIC_THREADS or 1)",
-    )
     _add_mode_flags(p)
 
 
@@ -111,18 +104,6 @@ def build_parser():
     return parser
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("BEHAMETRIC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"bad BEHAMETRIC_THREADS value {env!r}") from None
-    return 1
-
-
 def _load(args):
     with open(args.system, encoding="utf-8") as fh:
         doc = fh.read()
@@ -146,7 +127,6 @@ def cmd_dist(args) -> int:
         max_iter=args.max_iter,
         tol=args.float_tol if args.float_tol is not None else 1e-9,
         method=args.method,
-        workers=_threads(args),
     )
     matrix = behavioral_distances(system, opts)
     if args.json:
@@ -200,7 +180,6 @@ def cmd_trace(args) -> int:
         max_iter=args.max_iter,
         tol=args.float_tol if args.float_tol is not None else 1e-9,
         method=args.method,
-        workers=_threads(args),
         trace=True,
     )
     matrix = behavioral_distances(system, opts)

@@ -373,7 +373,7 @@ def expr_to_json(expr: FunctorExpr):
 # JSON: pseudometric tables
 
 
-def table_from_json(doc, bound, path="space", eps=None) -> PseudometricTable:
+def table_from_json(doc, bound, path="space") -> PseudometricTable:
     if not isinstance(doc, dict) or "carrier" not in doc:
         raise SchemaError(path, "expected {carrier: [...], d: [[a, b, value], ...]}")
     carrier = _atom_list(doc["carrier"], f"{path}.carrier")

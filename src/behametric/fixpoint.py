@@ -11,9 +11,9 @@ rather than raised.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .coalgebra import ProbTS, System
 from .functors import PseudometricTable
@@ -33,9 +33,11 @@ class IterationOptions:
     tol: float = 1e-9
     trace: bool = False
     method: str = WASSERSTEIN
-    workers: int = 1
+    workers: int = 1  # iteration is serial; kept while callers still pass 1
 
     def __post_init__(self):
+        if self.workers != 1:
+            raise ValueError("workers must be 1: iteration is serial")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not self.tol > 0:
@@ -64,38 +66,25 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
     states = sys.states
     current = PseudometricTable(states, {}, bound, check=False)
     trace = [current] if opts.trace else []
-    pairs = [
-        (states[i], states[j])
-        for i in range(len(states))
-        for j in range(i + 1, len(states))
-    ]
+    pairs = list(combinations(states, 2))
     residual = zero(bound)
     converged = len(pairs) == 0
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        engine = LiftingEngine(sys.expr, current, opts.method)
-        if opts.workers > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-                lifted = list(
-                    pool.map(lambda ab: engine.dist(sys.alpha[ab[0]], sys.alpha[ab[1]]), pairs)
-                )
-        else:
-            lifted = [engine.dist(sys.alpha[a], sys.alpha[b]) for a, b in pairs]
         entries = {}
         residual = zero(bound)
-        for (a, b), v in zip(pairs, lifted):
+        for (a, b), v in zip(pairs, _lift_pairs(sys, current, opts.method, pairs)):
             prev = current.get(a, b)
+            step = dist_e(v, prev)
             if v < prev:
                 # rounding between float-mode iterations can nudge an entry a
                 # few ulps above its next exact lift; clamp that, fail loudly
                 # on anything larger
-                gap = dist_e(v, prev)
-                if mode.is_exact or gap.as_float() > 1e-12:
+                if mode.is_exact or step.as_float() > 1e-12:
                     raise AssertionError(
                         f"iteration not monotone at ({a},{b}): {prev} -> {v}"
                     )
-                v = prev
-            step = dist_e(v, prev)
+                v, step = prev, zero(bound)
             if step > residual:
                 residual = step
             if not mode.is_exact:
@@ -103,14 +92,11 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
             entries[(a, b)] = v
         # axiom check each step; float-mode rounding may miss by a few ulps
         slack = None if mode.is_exact else 1e-12
-        new = PseudometricTable(states, entries, bound, slack=slack)
-        if mode.is_exact:
-            converged = all(new.get(a, b) == current.get(a, b) for a, b in pairs)
-        else:
-            converged = residual.as_float() < opts.tol
-        current = new
+        current = PseudometricTable(states, entries, bound, slack=slack)
         if opts.trace:
             trace.append(current)
+        # exact: no entry changed; float: the largest step is below tol
+        converged = residual.is_zero if mode.is_exact else residual.as_float() < opts.tol
         if converged:
             break
     if not pairs:
@@ -119,6 +105,12 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
     return DistanceMatrix(
         states, current, iterations, converged, residual, opts.method, mode, trace
     )
+
+
+def _lift_pairs(sys: System, table: PseudometricTable, method: str, pairs) -> list:
+    """One lifting step: the lifted distance of every state pair."""
+    engine = LiftingEngine(sys.expr, table, method)
+    return [engine.dist(sys.alpha[a], sys.alpha[b]) for a, b in pairs]
 
 
 def _round_value(v: Value, bound) -> Value:
@@ -131,16 +123,14 @@ def _round_value(v: Value, bound) -> Value:
 
 def verify_fixed_point(sys: System, m: DistanceMatrix, tol: float = 1e-9) -> bool:
     """One further lifting step changes nothing (exact) / less than tol."""
-    engine = LiftingEngine(sys.expr, m.table, m.method)
-    for i, a in enumerate(sys.states):
-        for b in sys.states[i + 1 :]:
-            v = engine.dist(sys.alpha[a], sys.alpha[b])
-            prev = m.table.get(a, b)
-            if sys.mode.is_exact:
-                if v != prev:
-                    return False
-            elif dist_e(_round_value(v, sys.top), prev).as_float() >= tol:
+    pairs = list(combinations(sys.states, 2))
+    for (a, b), v in zip(pairs, _lift_pairs(sys, m.table, m.method, pairs)):
+        prev = m.table.get(a, b)
+        if sys.mode.is_exact:
+            if v != prev:
                 return False
+        elif dist_e(_round_value(v, sys.top), prev).as_float() >= tol:
+            return False
     return True
 
 

@@ -26,7 +26,6 @@ from .functors import (
     ShapeError,
     combine_product,
     sorted_structs,
-    struct_key,
 )
 from .lp import LinearProgram, TransportationInstance, solve_max, solve_transportation
 from .values import (
@@ -70,13 +69,13 @@ class LiftingEngine:
     # -- recursion ----------------------------------------------------------
 
     def _lift(self, expr, t1, t2) -> Value:
-        key = (id(expr), struct_key(t1), struct_key(t2))
+        # structures are canonical and hashable, so they key the memo as is
+        key = (id(expr), t1, t2)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         out = self._lift_raw(expr, t1, t2)
-        self._memo[key] = out
-        self._memo[(id(expr), key[2], key[1])] = out  # symmetry for free
+        self._memo[key] = self._memo[(id(expr), t2, t1)] = out  # symmetry for free
         return out
 
     def _lift_raw(self, expr, t1, t2) -> Value:
@@ -108,13 +107,10 @@ class LiftingEngine:
             return zero(self.bound)
         if not s1 or not s2:
             return top(self.bound)
-        xs1, xs2 = sorted_structs(s1), sorted_structs(s2)
-        d1 = sup_fin(
-            inf_fin(self._lift(sub, a, b) for b in xs2) for a in xs1
-        )
-        d2 = sup_fin(
-            inf_fin(self._lift(sub, a, b) for a in xs1) for b in xs2
-        )
+        xs2 = sorted_structs(s2)
+        rows = [[self._lift(sub, a, b) for b in xs2] for a in sorted_structs(s1)]
+        d1 = sup_fin(inf_fin(row) for row in rows)
+        d2 = sup_fin(inf_fin(col) for col in zip(*rows))
         return sup_fin([d1, d2])
 
     def _dist_node(self, sub, p1, p2) -> Value:
@@ -154,12 +150,12 @@ class LiftingEngine:
                 self._lift(sub, t1[0], t2[0]), self._lift(sub, t1[1], t2[1])
             )
         points = sorted_structs({t1[0], t1[1], t2[0], t2[1]})
-        index = {struct_key(x): i for i, x in enumerate(points)}
+        index = {x: i for i, x in enumerate(points)}
         coeffs = [Fraction(0)] * len(points)
         for a in (t1[0], t1[1]):
-            coeffs[index[struct_key(a)]] += 1
+            coeffs[index[a]] += 1
         for b in (t2[0], t2[1]):
-            coeffs[index[struct_key(b)]] -= 1
+            coeffs[index[b]] -= 1
         ground = {
             (i, j): self._lift(sub, points[i], points[j])
             for i in range(len(points))

@@ -26,7 +26,7 @@ from .functors import (
     Product,
     PseudometricTable,
     Tagged,
-    struct_key,
+    sorted_structs,
 )
 from .lifting import (
     KANTOROVICH,
@@ -102,7 +102,7 @@ def random_structure(rng: random.Random, expr, carrier):
     if isinstance(expr, Dist):
         # distributions over substructures; keep supports small
         items = {random_structure(rng, expr.sub, carrier) for _ in range(4)}
-        return random_distribution(rng, sorted(items, key=struct_key), max_support=4)
+        return random_distribution(rng, sorted_structs(items), max_support=4)
     if isinstance(expr, FinPow):
         items = {random_structure(rng, expr.sub, carrier) for _ in range(rng.randint(0, 4))}
         return frozenset(items)

@@ -315,8 +315,24 @@ def format_magnitude(m: Magnitude) -> str:
     if isinstance(m, float):
         return repr(m)
     if m.denominator == 1:
-        return str(m.numerator)
-    return f"{m.numerator}/{m.denominator}"
+        return _decimal(m.numerator)
+    return f"{_decimal(m.numerator)}/{_decimal(m.denominator)}"
+
+
+_CHUNK = 10**4000
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of a nonnegative int of any size: str() refuses past
+    Python's 4,300-digit limit, so long ints go 4,000 digits at a time."""
+    if n < _CHUNK:
+        return str(n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:04000d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
 
 
 def parse_magnitude(text: str) -> Magnitude:

@@ -84,12 +84,11 @@ class TestDist:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_threads_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("BEHAMETRIC_THREADS", "2")
-        code, out, _ = run(
-            capsys, "dist", str(DATA / "fig1_left.json"), "--eps", "1/20", "--exact"
-        )
-        assert code == 0 and "9/200" in out
+    def test_threads_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", str(DATA / "fig1_left.json"), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestLift:

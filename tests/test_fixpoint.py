@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -125,14 +126,43 @@ class TestIterationBehavior:
         assert m.converged
         assert abs(m.get("x", "y").as_float() - 9 / 200) < 1e-8
 
-    def test_workers_give_identical_results(self):
-        m1 = behavioral_distances(from_prob_ts(fig1_left()))
-        m2 = behavioral_distances(
-            from_prob_ts(fig1_left()), IterationOptions(workers=4)
-        )
-        assert all(
-            m1.get(a, b) == m2.get(a, b) for a, b, _ in m1.table.entries()
-        )
+    def test_workers_other_than_one_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            IterationOptions(workers=2)
+
+
+def _with_entry(m, a, b, v):
+    """m with the (a, b) entry replaced, the axioms unchecked."""
+    entries = {(x, y): w for x, y, w in m.table.entries()}
+    entries[(a, b)] = v
+    table = PseudometricTable(m.states, entries, m.table.bound, check=False)
+    return dataclasses.replace(m, table=table)
+
+
+class TestVerifyFixedPoint:
+    def test_changed_exact_entry_rejected(self):
+        sys_ = from_prob_ts(fig1_left())
+        m = behavioral_distances(sys_)
+        assert verify_fixed_point(sys_, m)
+        bad = _with_entry(m, "x", "y", Value(F(9, 200) + F(1, 10**6), m.table.bound))
+        assert not verify_fixed_point(sys_, bad)
+
+    def test_float_entry_moved_past_tol_rejected(self):
+        sys_ = from_prob_ts(fig1_left(), NumericMode.approx(1e-9))
+        m = behavioral_distances(sys_)
+        assert verify_fixed_point(sys_, m, tol=1e-9)
+        moved = m.get("x", "y").as_float() + 1e-6
+        bad = _with_entry(m, "x", "y", Value(F(moved), m.table.bound))
+        assert not verify_fixed_point(sys_, bad, tol=1e-9)
+
+    def test_exact_iterate_stopped_at_max_iter_rejected(self):
+        # d(x, y) = 1/2 + c/2 * d(x, y) is reached only in the limit
+        p = ProbTS(("x", "y"), {"x": {"x": F(1, 2)}, "y": {"y": F(1)}},
+                   {"x": F(1, 2)}, F(1, 2))
+        sys_ = from_prob_ts(p)
+        m = behavioral_distances(sys_, IterationOptions(max_iter=5))
+        assert not m.converged
+        assert not verify_fixed_point(sys_, m)
 
 
 class TestKernel:

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from behametric.fixpoint import DistanceMatrix, matrix_to_csv
+from behametric.functors import PseudometricTable
 from behametric.values import (
     EXACT,
     INF,
@@ -209,3 +211,20 @@ def test_scale_infinity():
 def test_top_of_bounds():
     assert top(TOP_ONE) == v1(1)
     assert top(TOP_INF).is_infinite
+
+
+class TestLongDecimals:
+    """Past 4,300 digits str() of an int raises; the text must not change."""
+
+    def test_denominator_past_the_digit_limit(self):
+        assert format_magnitude(F(1, 10**4300)) == "1/1" + "0" * 4300
+
+    def test_zero_chunks_are_padded(self):
+        assert format_magnitude(F(10**8001 + 7)) == "1" + "0" * 8000 + "7"
+
+    def test_csv_of_a_matrix_holding_a_long_entry(self):
+        v = Value(F(1, 10**4300), TOP_ONE)
+        table = PseudometricTable(("a", "b"), {("a", "b"): v}, TOP_ONE)
+        m = DistanceMatrix(("a", "b"), table, 1, True, v, "wasserstein", EXACT)
+        text = "1/1" + "0" * 4300
+        assert matrix_to_csv(m) == f"state,a,b\na,0,{text}\nb,{text},0\n"
