@@ -63,6 +63,8 @@ class SchemaError(ValueError):
 # larger exponents (already far past any double) are refused before it runs
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# past Python's limit on int(str), a guard like MAX_EXPONENT, kept as is
+_LONG_INT = re.compile(r"\d{4301}")
 
 
 def _fraction(s: str, text, path, problem: str) -> Fraction:
@@ -75,6 +77,8 @@ def _fraction(s: str, text, path, problem: str) -> Fraction:
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
+        if _LONG_INT.search(s):
+            raise SchemaError(path, "an integer past Python's 4,300-digit limit") from None
         raise SchemaError(path, f"{problem} {text!r}") from None
 
 
@@ -146,18 +150,12 @@ class System:
         self.states = tuple(self.states)
         if len(set(self.states)) != len(self.states):
             raise SchemaError("states", "duplicate state names")
-        try:
-            check_expr_bound(self.expr, self.top)
-        except ConfigurationError as exc:
-            raise SchemaError("expr", str(exc)) from exc
+        _check_bound(self.expr, self.top)
         missing = [s for s in self.states if s not in self.alpha]
         if missing:
             raise SchemaError("alpha", f"missing transitions for {missing}")
         for s in self.states:
-            try:
-                validate(self.expr, self.states, self.alpha[s], path=f"alpha[{s}]")
-            except ShapeError as exc:
-                raise SchemaError(f"alpha[{s}]", str(exc)) from exc
+            _validated(self.expr, self.states, self.alpha[s], f"alpha[{s}]")
 
     def __eq__(self, other):
         return (
@@ -476,7 +474,7 @@ def _parse_top(doc, path="top") -> TopBound:
         raise SchemaError(path, 'missing "top" ("p/q" or "inf")')
     mag = parse_rational_or_inf(raw, path)
     try:
-        return TOP_INF if mag is INF else TopBound.finite(mag)
+        return TOP_INF if mag == INF else TopBound.finite(mag)
     except ConfigurationError as exc:
         raise SchemaError(path, str(exc)) from None
 
@@ -615,12 +613,26 @@ def load_lift_instance(doc) -> LiftInstance:
         for name, sdoc in _object_field(doc, "spaces").items()
     }
     expr = expr_from_json(doc.get("expr"), spaces, bound)
-    check_expr_bound(expr, bound)
+    _check_bound(expr, bound)
     t1 = struct_from_json(doc.get("t1"), "t1")
     t2 = struct_from_json(doc.get("t2"), "t2")
-    for label, t in (("t1", t1), ("t2", t2)):
-        try:
-            validate(expr, space.carrier, t, path=label)
-        except ShapeError as exc:
-            raise SchemaError(label, str(exc)) from exc
+    _validated(expr, space.carrier, t1, "t1")
+    _validated(expr, space.carrier, t2, "t2")
     return LiftInstance(space, expr, t1, t2, bound)
+
+
+def _check_bound(expr, bound) -> None:
+    try:
+        check_expr_bound(expr, bound)
+    except ConfigurationError as exc:
+        raise SchemaError("expr", str(exc)) from exc
+
+
+def _validated(expr, carrier, t, path) -> None:
+    """validate() with its failure raised as a SchemaError at the location
+    that leads the message, so the message reads as validate() wrote it."""
+    try:
+        validate(expr, carrier, t, path=path)
+    except ShapeError as exc:
+        where, _, detail = str(exc).partition(": ")
+        raise SchemaError(where, detail) from exc

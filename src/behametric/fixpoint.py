@@ -23,6 +23,7 @@ from .values import (
     Value,
     dist_e,
     format_magnitude,
+    rounding_slack,
     zero,
 )
 
@@ -80,7 +81,7 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
                 # rounding between float-mode iterations can nudge an entry a
                 # few ulps above its next exact lift; clamp that, fail loudly
                 # on anything larger
-                if mode.is_exact or step.as_float() > 1e-12:
+                if mode.is_exact or step.as_float() > rounding_slack(v.as_float()):
                     raise AssertionError(
                         f"iteration not monotone at ({a},{b}): {prev} -> {v}"
                     )
@@ -91,7 +92,7 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
                 v = _round_value(v, bound)
             entries[(a, b)] = v
         # axiom check each step; float-mode rounding may miss by a few ulps
-        slack = None if mode.is_exact else 1e-12
+        slack = None if mode.is_exact else 1e-12  # the floor of rounding_slack
         current = PseudometricTable(states, entries, bound, slack=slack)
         if opts.trace:
             trace.append(current)
@@ -116,7 +117,7 @@ def _lift_pairs(sys: System, table: PseudometricTable, method: str, pairs) -> li
 def _round_value(v: Value, bound) -> Value:
     """Snap an exact entry to the nearest double so float-mode denominators
     stay bounded across iterations."""
-    if v.is_infinite or isinstance(v.mag, float):
+    if isinstance(v.mag, float):
         return v
     return Value(Fraction(float(v.mag)), bound)
 
@@ -152,7 +153,7 @@ def kernel_partition(m: DistanceMatrix, tol: float = 1e-9):
         v = m.table.get(a, b)
         if m.mode.is_exact:
             return v.is_zero
-        return not v.is_infinite and v.as_float() <= tol
+        return v.as_float() <= tol
 
     blocks = []
     for s in m.states:
@@ -210,7 +211,7 @@ def same_partition(p1, p2) -> bool:
 def _fmt(v: Value, mode: NumericMode) -> str:
     if mode.is_exact and v.is_exact:
         return format_magnitude(v.mag)
-    return "inf" if v.is_infinite else repr(v.as_float())
+    return repr(v.as_float())
 
 
 def matrix_to_csv(m: DistanceMatrix) -> str:

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .values import (
-    INF,
     ConfigurationError,
     TopBound,
     Value,
     add_ext,
+    exact,
     pth_power,
     pth_root,
+    rounding_slack,
     scale,
     sup_fin,
     zero,
@@ -135,7 +136,7 @@ class PseudometricTable:
             if i is None or j is None:
                 raise ShapeError(f"unknown atom in entry ({a!r}, {b!r})")
             if not isinstance(v, Value):
-                v = Value(Fraction(v), bound)
+                v = exact(v, bound)
             if v.bound != bound:
                 raise ConfigurationError("table entry under a different bound")
             if rows[i][j] is not None and rows[i][j] != v:
@@ -151,10 +152,12 @@ class PseudometricTable:
             self._check_triangle(slack)
 
     def _check_triangle(self, slack=None):
-        """INF counts as a number above any sum of two finite entries.  Only
-        i < k is visited: (i, j, k) and (k, j, i) fail together, so the first
-        failure is the first among all permutations.  slack permits the
-        few-ulp violations that float-mode rounding of valid tables adds."""
+        """INF counts as an integer above any sum of two finite entries (not
+        as inf: int + inf raises once the scaled integers pass 2**1024).
+        Only i < k is visited: (i, j, k) and (k, j, i) fail together, so the
+        first failure is the first among all permutations.  slack permits
+        the gap of rounding_slack(rhs, slack) that float-mode rounding of
+        valid tables adds."""
         rows, n, limit = self._rows, len(self.carrier), self.bound.limit
         finite = [v.mag for row in rows for v in row if not v.is_infinite]
         exact = all(isinstance(m, Fraction) for m in finite)
@@ -173,8 +176,8 @@ class PseudometricTable:
                 for k in range(i + 1, n):
                     if li[k] > dij + rj[k] and j != i and j != k:
                         d_ik, rhs = rows[i][k], add_ext(rows[i][j], rows[j][k], clamp=True)
-                        if d_ik > rhs and (slack is None or d_ik.is_infinite
-                                           or d_ik.as_float() - rhs.as_float() > slack):
+                        if d_ik > rhs and (slack is None or d_ik.as_float() - rhs.as_float()
+                                           > rounding_slack(rhs.as_float(), slack)):
                             a, b, c = self.carrier[i], self.carrier[j], self.carrier[k]
                             raise ShapeError(
                                 f"triangle inequality fails: d({a},{c})={d_ik} > "
@@ -417,10 +420,7 @@ def _eval(expr, g, t, bound):
     if isinstance(expr, Dist):
         acc = zero(bound)
         for x, p in t.items:
-            v = _eval(expr.sub, g, x, bound)
-            if v.is_infinite:
-                return v
-            acc = add_ext(acc, scale(v, p))
+            acc = add_ext(acc, scale(_eval(expr.sub, g, x, bound), p))
         return acc
     if isinstance(expr, FinPow):
         if not t:
@@ -444,8 +444,6 @@ def combine_product(ev, v1: Value, v2: Value) -> Value:
     if isinstance(ev, MaxEval):
         return sup_fin([v1, v2])
     if isinstance(ev, PNormEval):
-        if v1.is_infinite or v2.is_infinite:
-            return Value(INF, v1.bound)
         radicand = add_ext(
             scale(pth_power(v1, ev.p), ev.c1), scale(pth_power(v2, ev.p), ev.c2)
         )

@@ -135,13 +135,7 @@ class LiftingEngine:
         points = [x for x in union if p1.prob(x) != p2.prob(x)]
         if not points:
             return zero(self.bound)
-        ground = {
-            (i, j): self._lift(sub, points[i], points[j])
-            for i in range(len(points))
-            for j in range(i + 1, len(points))
-        }
-        coeffs = [p1.prob(x) - p2.prob(x) for x in points]
-        return kantorovich_linear_value(len(points), ground, coeffs, self.bound)
+        return self._kantorovich(sub, points, [p1.prob(x) - p2.prob(x) for x in points])
 
     def _diag_node(self, sub, t1, t2) -> Value:
         if self.method == WASSERSTEIN:
@@ -156,6 +150,11 @@ class LiftingEngine:
             coeffs[index[a]] += 1
         for b in (t2[0], t2[1]):
             coeffs[index[b]] -= 1
+        return self._kantorovich(sub, points, coeffs)
+
+    def _kantorovich(self, sub, points, coeffs) -> Value:
+        """The Kantorovich LP over points, its ground distances lifted
+        through sub."""
         ground = {
             (i, j): self._lift(sub, points[i], points[j])
             for i in range(len(points))
@@ -205,8 +204,7 @@ def kantorovich_linear_value(n, ground, coeffs, bound: TopBound) -> Value:
     finite_pairs = []
     for (i, j), v in sorted(ground.items()):
         if not v.is_infinite:
-            q = v.mag if isinstance(v.mag, Fraction) else Fraction(v.mag)
-            finite_pairs.append((i, j, q))
+            finite_pairs.append((i, j, v.as_fraction()))
 
     if bound.is_infinite:
         parent = list(range(n))
@@ -325,7 +323,7 @@ def check_well_behaved(
             rand_subset([(a, b) for a in grid for b in grid])
         )
     for rel in relations:
-        pairs = sorted(rel, key=lambda ab: (ab[0]._cmp_key(), ab[1]._cmp_key()))
+        pairs = sorted(rel, key=lambda ab: (ab[0].mag, ab[1].mag))
         t1 = [a for a, _ in pairs]
         t2 = [b for _, b in pairs]
         lhs = dist_e(ev(t1), ev(t2))
@@ -340,7 +338,7 @@ def check_well_behaved(
         subsets.append(rand_subset(grid))
     for s in subsets:
         should_be_zero = s <= {gzero}
-        is_zero = ev(sorted(s, key=Value._cmp_key)).is_zero
+        is_zero = ev(sorted(s, key=lambda v: v.mag)).is_zero
         if should_be_zero != is_zero:
             witnesses[3].append(frozenset(s))
 

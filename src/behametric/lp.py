@@ -151,7 +151,9 @@ def solve_transportation(inst: TransportationInstance):
     """Minimal-cost coupling; returns (value: Value, plan: matrix | None).
 
     When every feasible plan must use a forbidden (infinite-cost) cell the
-    value is infinite and the plan is None.
+    value is infinite and the plan is None.  An inexact (double) cost is
+    priced at its exact binary value, and the optimum is then returned as
+    a double, as in ``kantorovich_linear_value``.
     """
     m, n = len(inst.supply), len(inst.demand)
     bound = inst.bound
@@ -167,6 +169,7 @@ def solve_transportation(inst: TransportationInstance):
         [ZERO if v.is_infinite else v.as_fraction() for v in row]
         for row in inst.cost
     ]
+    inexact = any(not v.is_exact for row in inst.cost for v in row)
     plan, rows, cols = _north_west_corner(inst.supply, inst.demand)
     while True:
         entering = _entering_cell(big, small, rows, cols)
@@ -180,7 +183,7 @@ def solve_transportation(inst: TransportationInstance):
                 if big[i][j]:
                     return Value(INF, bound), None
                 total += plan[i][j] * small[i][j]
-    return Value(total, bound), plan
+    return Value(float(total) if inexact else total, bound), plan
 
 
 def _north_west_corner(supply, demand):

@@ -72,17 +72,9 @@ def random_pseudometric(rng: random.Random, bound: TopBound, n_atoms=None) -> Ps
             return Fraction(0)
         return raw[(a, b) if a < b else (b, a)]
 
-    def put(a, b, v):
-        raw[(a, b) if a < b else (b, a)] = v
-
     for mid in atoms:  # Floyd-Warshall min-plus closure
         for a, b in itertools.combinations(atoms, 2):
-            via_mag = None
-            x, y = get(a, mid), get(mid, b)
-            if x is not INF and y is not INF:
-                via_mag = x + y
-            if via_mag is not None and (get(a, b) is INF or via_mag < get(a, b)):
-                put(a, b, via_mag)
+            raw[(a, b)] = min(raw[(a, b)], get(a, mid) + get(mid, b))
     entries = {k: Value(v, bound) for k, v in raw.items()}
     return PseudometricTable(atoms, entries, bound, check=False)
 

@@ -1,10 +1,14 @@
 """Value domain [0, top] with extended arithmetic.
 
 Distances live in a closed interval [0, top] where top is either a finite
-positive rational or infinity.  Infinity is a distinguished singleton, never
-a float sentinel, so exact computations can use top = inf.  Magnitudes are
-exact rationals; a float magnitude marks a value as inexact (this happens
-only when a p-norm evaluation produces an irrational root).
+positive rational or infinity.  Finite exact magnitudes are Fractions; a
+finite float marks a value as inexact (only an irrational p-norm root makes
+one).  Infinity is the float ``math.inf``: Python orders it above every
+Fraction, and it absorbs under + and under * by a positive scale; the one
+undefined case, inf - inf, is handled in ``dist_e``.  A Fraction meeting a
+float is converted to a float first, which overflows past ~1.8e308 and
+makes a factor below ~1e-308 zero (inf * 0.0 is nan), so ``add_ext``,
+``dist_e`` and ``scale`` keep inf out of that arithmetic.
 """
 
 from __future__ import annotations
@@ -19,21 +23,9 @@ class ConfigurationError(ValueError):
     """Raised when values under different bounds or modes are combined."""
 
 
-class _Infinity:
-    _instance = None
+INF = math.inf
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = _Infinity()
-
-Magnitude = Union[Fraction, float, _Infinity]
+Magnitude = Union[Fraction, float]
 
 
 @dataclass(frozen=True)
@@ -99,9 +91,10 @@ EXACT = NumericMode.exact()
 class Value:
     """An element of [0, top].
 
-    ``mag`` is a Fraction (exact), the INF singleton, or a float.  Float
+    ``mag`` is a Fraction (exact), INF, or a finite float.  Finite float
     magnitudes flag the value as inexact; they only arise from irrational
-    p-th roots and propagate through further arithmetic.
+    p-th roots and propagate through further arithmetic.  Values order by
+    their magnitudes, so INF is greatest.
     """
 
     mag: Magnitude
@@ -109,18 +102,17 @@ class Value:
 
     def __post_init__(self):
         m = self.mag
-        if m is INF:
-            if not self.bound.is_infinite:
-                raise ConfigurationError("infinite value under a finite bound")
-            return
         if isinstance(m, Fraction):
             if m < 0:
                 raise ConfigurationError(f"negative value {m}")
             if self.bound.limit is not None and m > self.bound.limit:
                 raise ConfigurationError(f"value {m} exceeds top {self.bound.limit}")
         elif isinstance(m, float):
+            if m == INF and not self.bound.is_infinite:
+                # checked before the clamp, which would turn inf into top
+                raise ConfigurationError("infinite value under a finite bound")
             # inexact magnitudes get clamped into range instead of rejected
-            lo, hi = 0.0, float("inf") if self.bound.is_infinite else float(self.bound.limit)
+            lo, hi = 0.0, INF if self.bound.is_infinite else float(self.bound.limit)
             object.__setattr__(self, "mag", min(max(m, lo), hi))
         else:
             raise ConfigurationError(f"bad magnitude {m!r}")
@@ -129,11 +121,12 @@ class Value:
 
     @property
     def is_infinite(self) -> bool:
-        return self.mag is INF
+        # the type test spares a Fraction its slow == against a float
+        return type(self.mag) is float and self.mag == INF
 
     @property
     def is_exact(self) -> bool:
-        return not isinstance(self.mag, float)
+        return not isinstance(self.mag, float) or self.mag == INF
 
     @property
     def is_zero(self) -> bool:
@@ -142,40 +135,29 @@ class Value:
     # -- conversions --------------------------------------------------------
 
     def as_float(self) -> float:
-        if self.mag is INF:
-            return float("inf")
         return float(self.mag)
 
     def as_fraction(self) -> Fraction:
-        if not isinstance(self.mag, Fraction):
-            raise ConfigurationError(f"{self} has no exact rational magnitude")
-        return self.mag
+        """The rational of a finite magnitude; a double gives its exact
+        binary value, so solvers can price inexact costs exactly."""
+        return self.mag if isinstance(self.mag, Fraction) else Fraction(self.mag)
 
-    # -- ordering (INF is greatest) -----------------------------------------
-
-    def _cmp_key(self):
-        return (1,) if self.mag is INF else (0, self.mag)
+    # -- ordering (a > b and a >= b fall back to b < a and b <= a) -----------
 
     def __lt__(self, other: "Value") -> bool:
         ensure_compatible(self, other)
-        return self._cmp_key() < other._cmp_key()
+        return self.mag < other.mag
 
     def __le__(self, other: "Value") -> bool:
         ensure_compatible(self, other)
-        return self._cmp_key() <= other._cmp_key()
-
-    def __gt__(self, other: "Value") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Value") -> bool:
-        return other <= self
+        return self.mag <= other.mag
 
     def __repr__(self):
         return f"Value({format_magnitude(self.mag)})"
 
 
 def ensure_compatible(a: Value, b: Value) -> None:
-    if a.bound != b.bound:
+    if a.bound is not b.bound and a.bound != b.bound:
         raise ConfigurationError(f"mixed bounds: {a.bound} vs {b.bound}")
 
 
@@ -184,25 +166,21 @@ def zero(bound: TopBound) -> Value:
 
 
 def top(bound: TopBound) -> Value:
-    if bound.is_infinite:
-        return Value(INF, bound)
-    return Value(bound.limit, bound)
+    return Value(INF if bound.is_infinite else bound.limit, bound)
 
 
 def exact(q, bound: TopBound) -> Value:
     """Build an exact value from anything Fraction accepts, or INF."""
-    if q is INF:
-        return Value(INF, bound)
-    return Value(Fraction(q), bound)
+    return Value(q if q == INF else Fraction(q), bound)
 
 
 def dist_e(a: Value, b: Value) -> Value:
     """Euclidean distance on [0, top], with d(x, inf) = inf for x != inf
     and d(inf, inf) = 0."""
     ensure_compatible(a, b)
-    if a.mag is INF and b.mag is INF:
+    if a.mag == b.mag:
         return zero(a.bound)
-    if a.mag is INF or b.mag is INF:
+    if a.is_infinite or b.is_infinite:
         return Value(INF, a.bound)
     return Value(abs(a.mag - b.mag), a.bound)
 
@@ -212,9 +190,7 @@ def add_ext(a: Value, b: Value, clamp: bool = False) -> Value:
     lifting formulas stay within [0, top] by construction, so a clamp here
     would only mask bugs."""
     ensure_compatible(a, b)
-    if a.mag is INF or b.mag is INF:
-        return Value(INF, a.bound)
-    m = a.mag + b.mag
+    m = INF if a.is_infinite or b.is_infinite else a.mag + b.mag
     if clamp and a.bound.limit is not None and m > a.bound.limit:
         m = a.bound.limit if isinstance(m, Fraction) else float(a.bound.limit)
     return Value(m, a.bound)
@@ -225,30 +201,24 @@ def scale(v: Value, c: Fraction) -> Value:
     c = Fraction(c)
     if c <= 0:
         raise ConfigurationError("scale factor must be positive")
-    if v.mag is INF or c == 1:
+    if c == 1 or v.is_infinite:
         return v
     return Value(v.mag * c, v.bound)
 
 
 def sup_fin(vs: Iterable[Value]) -> Value:
-    vs = list(vs)
-    if not vs:
+    """The first greatest value."""
+    out = max(vs, default=None)
+    if out is None:
         raise ConfigurationError("sup of an empty sequence")
-    out = vs[0]
-    for v in vs[1:]:
-        if v > out:
-            out = v
     return out
 
 
 def inf_fin(vs: Iterable[Value]) -> Value:
-    vs = list(vs)
-    if not vs:
+    """The first least value."""
+    out = min(vs, default=None)
+    if out is None:
         raise ConfigurationError("inf of an empty sequence")
-    out = vs[0]
-    for v in vs[1:]:
-        if v < out:
-            out = v
     return out
 
 
@@ -271,7 +241,7 @@ def pth_root(v: Value, p: int) -> Value:
     rational, otherwise a float magnitude marked inexact."""
     if p < 1:
         raise ConfigurationError("root order must be >= 1")
-    if p == 1 or v.mag is INF:
+    if p == 1:
         return v
     if isinstance(v.mag, float):
         return Value(v.mag ** (1.0 / p), v.bound)
@@ -291,8 +261,6 @@ def pth_root(v: Value, p: int) -> Value:
 
 
 def pth_power(v: Value, p: int) -> Value:
-    if v.mag is INF:
-        return v
     return Value(v.mag**p, v.bound)
 
 
@@ -300,18 +268,22 @@ def values_close(a: Value, b: Value, mode: NumericMode) -> bool:
     """Equality test honouring the numeric mode.  Inexact magnitudes are
     always compared with the float tolerance, even in exact mode."""
     ensure_compatible(a, b)
-    if a.is_exact and b.is_exact and mode.is_exact:
-        return a.mag == b.mag or (a.mag is INF and b.mag is INF)
-    if a.is_infinite or b.is_infinite:
-        return a.is_infinite and b.is_infinite
+    if a.mag == b.mag:
+        return True
+    if (a.is_exact and b.is_exact and mode.is_exact) or a.is_infinite or b.is_infinite:
+        return False
     tol = mode.tolerance if not mode.is_exact else 1e-9
     # as rationals: a float subtraction overflows past ~1e308
     return abs(Fraction(a.mag) - Fraction(b.mag)) <= Fraction(tol)
 
 
+def rounding_slack(x: float, floor: float = 1e-12) -> float:
+    """The gap that float-mode rounding may open next to a finite double x:
+    two ulps of x, and never less than an absolute floor."""
+    return max(floor, 2 * math.ulp(x))
+
+
 def format_magnitude(m: Magnitude) -> str:
-    if m is INF:
-        return "inf"
     if isinstance(m, float):
         return repr(m)
     if m.denominator == 1:
@@ -333,11 +305,3 @@ def _decimal(n: int) -> str:
         chunks.append(f"{low:04000d}")
     chunks.append(str(n))
     return "".join(reversed(chunks))
-
-
-def parse_magnitude(text: str) -> Magnitude:
-    """Parse 'p/q', a decimal string, or 'inf'."""
-    text = text.strip()
-    if text in ("inf", "infinity", "∞"):
-        return INF
-    return Fraction(text)

@@ -132,3 +132,80 @@ class TestTrace:
         assert lines[0] == "iteration,state1,state2,distance"
         # final iterate contains the fixed-point value
         assert any("9/200" in l for l in lines)
+
+
+# states s0..s2 at finite distance, s3 infinitely far: its proposition
+# value is at distance inf from the others and it has no successors
+INF_METRIC_TS = {
+    "kind": "metric_ts",
+    "states": ["s0", "s1", "s2", "s3"],
+    "propositions": {
+        "r": {
+            "carrier": ["a", "b", "c"],
+            "d": [["a", "b", "1/3"], ["a", "c", "inf"], ["b", "c", "inf"]],
+        }
+    },
+    "valuation": {"s0": {"r": "a"}, "s1": {"r": "b"}, "s2": {"r": "a"}, "s3": {"r": "c"}},
+    "tau": {"s0": ["s1"], "s1": ["s1"], "s2": ["s2"], "s3": []},
+}
+INF_PAIRS = [("s0", "s1"), ("s0", "s2"), ("s0", "s3"), ("s1", "s2"), ("s1", "s3"), ("s2", "s3")]
+
+
+class TestInfinityRendering:
+    @pytest.fixture
+    def system(self, tmp_path):
+        path = tmp_path / "inf_metric_ts.json"
+        path.write_text(json.dumps(INF_METRIC_TS))
+        return str(path)
+
+    @staticmethod
+    def as_json(third, residual, mode):
+        doc = {
+            "states": ["s0", "s1", "s2", "s3"],
+            "entries": [
+                [a, b, "inf" if b == "s3" else third] for a, b in INF_PAIRS
+            ],
+            "iterations": 3,
+            "converged": True,
+            "residual": residual,
+            "method": "wasserstein",
+            "mode": mode,
+        }
+        return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+    def test_exact_csv(self, capsys, system):
+        code, out, _ = run(capsys, "dist", system, "--exact")
+        assert code == 0
+        assert out == (
+            "state,s0,s1,s2,s3\n"
+            "s0,0,1/3,1/3,inf\n"
+            "s1,1/3,0,1/3,inf\n"
+            "s2,1/3,1/3,0,inf\n"
+            "s3,inf,inf,inf,0\n"
+        )
+
+    def test_exact_json(self, capsys, system):
+        code, out, _ = run(capsys, "dist", system, "--exact", "--json")
+        assert code == 0
+        assert out == self.as_json("1/3", "0", "exact")
+
+    def test_float_json(self, capsys, system):
+        code, out, _ = run(capsys, "dist", system, "--float", "1e-9", "--json")
+        assert code == 0
+        assert out == self.as_json("0.3333333333333333", "1.850371707708594e-17", "float")
+
+    def test_exact_trace(self, capsys, system):
+        code, out, _ = run(capsys, "trace", system, "--exact")
+        assert code == 0
+        iterates = [
+            ["0", "0", "0", "0", "0", "0"],
+            ["1/3", "0", "inf", "1/3", "inf", "inf"],
+            ["1/3", "1/3", "inf", "1/3", "inf", "inf"],
+            ["1/3", "1/3", "inf", "1/3", "inf", "inf"],
+        ]
+        expected = "iteration,state1,state2,distance\n" + "".join(
+            f"{k},{a},{b},{v}\n"
+            for k, row in enumerate(iterates)
+            for (a, b), v in zip(INF_PAIRS, row)
+        )
+        assert out == expected

@@ -16,6 +16,7 @@ from behametric.coalgebra import (
     from_prob_ts,
     load_lift_instance,
     load_system,
+    parse_rational_or_inf,
     parse_weight,
     serialize,
 )
@@ -26,7 +27,14 @@ from behametric.functors import (
     Tagged,
     validate,
 )
-from behametric.values import INF, TOP_INF, TOP_ONE, ConfigurationError, Value
+from behametric.values import (
+    INF,
+    TOP_INF,
+    TOP_ONE,
+    ConfigurationError,
+    Value,
+    format_magnitude,
+)
 
 
 FIG1_LEFT = {
@@ -94,6 +102,13 @@ class TestHugeNumbers:
         for text in (f"1e{MAX_EXPONENT + 1}", "1e" + "9" * 5000, "1/2-1e99999"):
             with pytest.raises(SchemaError, match="exponent"):
                 parse_weight(text)
+
+    def test_rational_past_the_digit_limit(self):
+        # dist --exact prints such a magnitude; reading it back names the cause
+        text = format_magnitude(F(1, 10**4300))
+        with pytest.raises(SchemaError, match="4,300-digit limit") as err:
+            parse_rational_or_inf(text, "space.d[0][2]")
+        assert err.value.path == "space.d[0][2]"
 
     @pytest.mark.parametrize("load", [load_system, load_lift_instance])
     def test_oversized_json_integer(self, load):
@@ -324,6 +339,25 @@ DOC_ROOTS = {
     "$", "kind", "top", "c", "states", "transitions", "terminate",
     "propositions", "valuation", "tau", "spaces", "expr", "alpha",
 }
+LIFT_FUZZ_DOCS = [
+    json.loads((DEMO_DATA / "counterexample.json").read_text()),
+    {
+        "top": "1",
+        "space": {
+            "carrier": ["a", "b", "c"],
+            "d": [["a", "b", "1/2"], ["b", "c", "1/3"], ["a", "c", "2/3"]],
+        },
+        "spaces": {"k": {"carrier": ["p", "q"], "d": [["p", "q", "1/4"]]}},
+        "expr": {"product": {
+            "left": {"dist": {"coproduct": [{"id": {"discount": "9/10"}}, {"const": "k"}]}},
+            "right": {"finpow": "id"},
+            "eval": {"pnorm": {"p": 2, "c1": "1/2", "c2": "1/2"}},
+        }},
+        "t1": {"pair": [{"dist": [[{"left": "a"}, "1/2"], [{"right": "p"}, "1/2"]]}, {"set": ["a", "b"]}]},
+        "t2": {"pair": [{"dist": [[{"left": "c"}, "1"]]}, {"set": ["c"]}]},
+    },
+]
+LIFT_ROOTS = {"$", "top", "space", "spaces", "expr", "t1", "t2"}
 DROP = object()
 OTHER_TYPES = [None, True, 0, 3, -1, 2.5, 10**30, "", "s", [], [1, 2], [[1]], {}, {"a": 1}]
 BAD_RATIONALS = ["1/0", "abc", "1//2", "nan", "-inf", "1e999", " ", "--1", "eps/2", "1/2+", "0x10", "-1/2", "2", "inf"]
@@ -410,3 +444,60 @@ class TestLoaderFuzz:
         with pytest.raises(SchemaError) as err:
             load_system(doc, eps=F(1, 20))
         assert err.value.path == path
+
+    @settings(
+        derandomize=True,
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        doc_index=st.integers(0, len(LIFT_FUZZ_DOCS) - 1),
+        mutations=st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from([DROP] + OTHER_TYPES + BAD_RATIONALS),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_only_path_bearing_lift_errors_escape(self, doc_index, mutations):
+        doc = copy.deepcopy(LIFT_FUZZ_DOCS[doc_index])
+        for where, replacement in mutations:
+            _mutate(doc, where, replacement)
+        try:
+            load_lift_instance(doc)
+        except (SchemaError, ShapeError, ConfigurationError) as exc:
+            head = re.match(r"[^.\[:\s]+", str(exc))
+            assert head and head.group(0) in LIFT_ROOTS, str(exc)
+
+    @pytest.mark.parametrize(
+        "doc, path, message",
+        [
+            (
+                dict(LIFT_FUZZ_DOCS[0], top="1"),
+                "expr",
+                "expr: diagonal square requires top = inf",
+            ),
+            (
+                dict(LIFT_FUZZ_DOCS[1], expr={"product": {
+                    "left": "id", "right": "id",
+                    "eval": {"pnorm": {"p": 2, "c1": "1", "c2": "1/2"}},
+                }}),
+                "expr",
+                "expr: p-norm weights must sum to <= 1 under a finite top",
+            ),
+            (
+                dict(LIFT_FUZZ_DOCS[0], t1={"pair": ["x1", "z"]}),
+                "t1[1]",
+                "t1[1]: 'z' is not a carrier atom",
+            ),
+            (dict(LIFT_FUZZ_DOCS[0], t2="x1"), "t2", "t2: expected a pair, got 'x1'"),
+        ],
+    )
+    def test_lift_instance_errors_name_their_path_once(self, doc, path, message):
+        with pytest.raises(SchemaError) as err:
+            load_lift_instance(doc)
+        assert err.value.path == path
+        assert str(err.value) == message

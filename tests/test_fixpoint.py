@@ -4,7 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from behametric.coalgebra import MetricTS, ProbTS, from_metric_ts, from_prob_ts, load_system
+from behametric.coalgebra import (
+    MetricTS,
+    ProbTS,
+    System,
+    from_metric_ts,
+    from_prob_ts,
+    load_system,
+)
 from behametric.fixpoint import (
     IterationOptions,
     UnconvergedError,
@@ -17,7 +24,15 @@ from behametric.fixpoint import (
     trace_to_csv,
     verify_fixed_point,
 )
-from behametric.functors import PseudometricTable
+from behametric.functors import (
+    Const,
+    Coproduct,
+    Dist,
+    Distribution,
+    Id,
+    PseudometricTable,
+    Tagged,
+)
 from behametric.suites import random_prob_ts
 from behametric.values import NumericMode, TOP_INF, Value
 
@@ -125,6 +140,36 @@ class TestIterationBehavior:
         m = behavioral_distances(sys_)
         assert m.converged
         assert abs(m.get("x", "y").as_float() - 9 / 200) < 1e-8
+
+    def test_float_mode_slack_scales_with_large_entries(self):
+        # under top = inf, entries near 1e5 have ulps above 1e-12: rounding
+        # between iterations must not read as a monotonicity or triangle
+        # failure
+        k = PseudometricTable(
+            ["p", "q", "r"],
+            {
+                ("p", "q"): Value(F(2420000, 7), TOP_INF),
+                ("q", "r"): Value(F(3110000, 11), TOP_INF),
+                ("p", "r"): Value(F(48390000, 77), TOP_INF),
+            },
+            TOP_INF,
+        )
+        left, right = (lambda s: Tagged("left", s)), (lambda a: Tagged("right", a))
+        succ = {
+            "s0": {left("s0"): 2, left("s3"): 1, left("s1"): 9, right("p"): 4},
+            "s1": {left("s0"): 1, left("s3"): 4, left("s2"): 7, right("p"): 4},
+            "s2": {left("s4"): 2, left("s2"): 1, left("s1"): 9, right("q"): 4},
+            "s3": {left("s1"): 5, left("s0"): 6, left("s2"): 1, right("p"): 4},
+            "s4": {left("s1"): 6, left("s2"): 5, left("s4"): 1, right("p"): 4},
+        }
+        alpha = {
+            s: Distribution({x: F(w, 16) for x, w in ws.items()}) for s, ws in succ.items()
+        }
+        expr = Dist(Coproduct(Id(F(9, 10)), Const(k, name="k")))
+        sys_ = System(sorted(succ), expr, alpha, TOP_INF, NumericMode.approx(1e-9))
+        m = behavioral_distances(sys_, IterationOptions(max_iter=2000))
+        assert m.converged
+        assert verify_fixed_point(sys_, m)
 
     def test_workers_other_than_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -246,6 +247,33 @@ class TestTriangleCheckAgainstOracle:
         assert new == oracle and (new is None) == accepted
         oracle, new = triangle_verdicts(["a", "b", "c"], entries, TOP_ONE, None)
         assert new == oracle and new.startswith("triangle inequality fails: d(a,c)=")
+
+    @pytest.mark.parametrize("ulps, accepted", [(1, True), (3, False)])
+    def test_float_mode_slack_is_two_ulps_of_large_entries(self, ulps, accepted):
+        # the ulp of 3e5 is about 6e-11, far above the 1e-12 floor
+        ab, bc = F(3e5), F(0.1)
+        rhs = float(ab + bc)
+        ac = F(rhs + ulps * math.ulp(rhs))
+        entries = {("a", "b"): ab, ("b", "c"): bc, ("a", "c"): ac}
+        entries = {k: Value(v, TOP_INF) for k, v in entries.items()}
+        try:
+            PseudometricTable(["a", "b", "c"], entries, TOP_INF, slack=1e-12)
+        except ShapeError:
+            assert not accepted
+        else:
+            assert accepted
+
+    def test_scaled_entries_past_the_float_range_beside_inf(self):
+        # the integer-scaled check must not add an int past 2**1024 to inf
+        inf, huge = Value(INF, TOP_INF), Value(F(10**400), TOP_INF)
+        table = PseudometricTable(
+            ["a", "b", "c"], {("a", "b"): huge, ("a", "c"): inf, ("b", "c"): inf}, TOP_INF
+        )
+        assert table.get("a", "b") == huge
+        with pytest.raises(ShapeError, match="triangle"):
+            PseudometricTable(
+                ["a", "b", "c"], {("a", "b"): huge, ("a", "c"): inf, ("b", "c"): huge}, TOP_INF
+            )
 
     def test_infinite_entries(self):
         inf, one = Value(INF, TOP_INF), Value(F(1), TOP_INF)

@@ -160,6 +160,21 @@ class TestInfiniteGround:
             assert lift_dist(Dist(Id()), d, method, p1, p2) == Value(F(1), TOP_INF)
 
 
+class TestInexactCosts:
+    def test_wasserstein_prices_irrational_costs_like_kantorovich(self):
+        # the p-norm of (0, 1) and (1, 0) is the irrational sqrt(1/2)
+        expr = Dist(Product(Id(), Id(), PNormEval(2, F(1, 2), F(1, 2))))
+        p1 = Distribution({("a", "a"): F(1, 2), ("a", "b"): F(1, 2)})
+        p2 = Distribution({("b", "b"): F(1, 2), ("b", "a"): F(1, 2)})
+        for bound in (TOP_ONE, TOP_INF):
+            d = table(["a", "b"], {("a", "b"): 1}, bound)
+            w = lift_dist(expr, d, WASSERSTEIN, p1, p2)
+            k = lift_dist(expr, d, KANTOROVICH, p1, p2)
+            assert not w.is_exact and not k.is_exact
+            assert abs(w.as_float() - k.as_float()) < 1e-12
+            assert abs(w.as_float() - 0.5**0.5) < 1e-12
+
+
 class TestLiftingProperties:
     def test_monotone_in_ground_metric(self):
         rng = random.Random(21)

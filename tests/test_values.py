@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from behametric.coalgebra import parse_rational_or_inf
 from behametric.fixpoint import DistanceMatrix, matrix_to_csv
 from behametric.functors import PseudometricTable
 from behametric.values import (
@@ -18,7 +19,6 @@ from behametric.values import (
     dist_e,
     format_magnitude,
     inf_fin,
-    parse_magnitude,
     pth_power,
     pth_root,
     scale,
@@ -135,7 +135,7 @@ def test_dist_e_triangle_with_extended_values(a, b, c):
 
 @given(mag_inf)
 def test_magnitude_format_parse_round_trip(m):
-    assert parse_magnitude(format_magnitude(m)) == m
+    assert parse_rational_or_inf(format_magnitude(m)) == m
 
 
 @given(grid_one, grid_one)
@@ -206,6 +206,27 @@ class TestModes:
 
 def test_scale_infinity():
     assert scale(Value(INF, TOP_INF), F(1, 2)).is_infinite
+
+
+def test_inf_is_the_float_infinity():
+    assert INF == float("inf") and vi(10**400) < vi("inf")
+    assert format_magnitude(INF) == "inf" and vi("inf").is_exact
+    assert Value(1e308, TOP_INF).as_float() == 1e308 and not Value(1e308, TOP_INF).is_exact
+
+
+class TestInfinityMeetsExtremeFractions:
+    """A Fraction mixed with a float is first converted to a float: past
+    about 1.8e308 that overflows, below about 1e-308 it is 0.0."""
+
+    def test_sum_and_distance_past_the_float_range(self):
+        huge = vi(10**400)
+        assert add_ext(huge, vi("inf")).is_infinite
+        assert add_ext(vi("inf"), huge).is_infinite
+        assert dist_e(huge, vi("inf")).is_infinite
+        assert dist_e(vi("inf"), huge).is_infinite
+
+    def test_tiny_scale_keeps_infinity(self):
+        assert scale(vi("inf"), F(1, 10**400)).is_infinite
 
 
 def test_top_of_bounds():
