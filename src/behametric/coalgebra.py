@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,8 +64,6 @@ class SchemaError(ValueError):
 # larger exponents (already far past any double) are refused before it runs
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
-# past Python's limit on int(str), a guard like MAX_EXPONENT, kept as is
-_LONG_INT = re.compile(r"\d{4301}")
 
 
 def _fraction(s: str, text, path, problem: str) -> Fraction:
@@ -76,9 +75,11 @@ def _fraction(s: str, text, path, problem: str) -> Fraction:
             raise SchemaError(path, f"exponent of {text!r} exceeds {MAX_EXPONENT}")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        if _LONG_INT.search(s):
-            raise SchemaError(path, "an integer past Python's 4,300-digit limit") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        # Python's cap on int(str) digits, a guard like MAX_EXPONENT, kept as is
+        if str(exc).startswith("Exceeds the limit"):
+            limit = f"{sys.get_int_max_str_digits():,}-digit limit"
+            raise SchemaError(path, f"an integer past Python's {limit}") from None
         raise SchemaError(path, f"{problem} {text!r}") from None
 
 
@@ -629,10 +630,9 @@ def _check_bound(expr, bound) -> None:
 
 
 def _validated(expr, carrier, t, path) -> None:
-    """validate() with its failure raised as a SchemaError at the location
-    that leads the message, so the message reads as validate() wrote it."""
+    """validate() with its failure raised as a SchemaError at the failing
+    part, so the message reads as validate() wrote it."""
     try:
         validate(expr, carrier, t, path=path)
     except ShapeError as exc:
-        where, _, detail = str(exc).partition(": ")
-        raise SchemaError(where, detail) from exc
+        raise SchemaError(exc.path, exc.detail) from exc

@@ -92,8 +92,7 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
                 v = _round_value(v, bound)
             entries[(a, b)] = v
         # axiom check each step; float-mode rounding may miss by a few ulps
-        slack = None if mode.is_exact else 1e-12  # the floor of rounding_slack
-        current = PseudometricTable(states, entries, bound, slack=slack)
+        current = PseudometricTable(states, entries, bound, slack=not mode.is_exact)
         if opts.trace:
             trace.append(current)
         # exact: no entry changed; float: the largest step is below tol

@@ -29,7 +29,12 @@ from .values import (
 
 
 class ShapeError(ValueError):
-    """A structure value does not match its functor expression."""
+    """A structure value does not match its functor expression.  ``path``,
+    set by validate(), locates the failing part and leads the message."""
+
+    def __init__(self, detail, path=None):
+        super().__init__(detail if path is None else f"{path}: {detail}")
+        self.path, self.detail = path, detail
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +160,9 @@ class PseudometricTable:
         """INF counts as an integer above any sum of two finite entries (not
         as inf: int + inf raises once the scaled integers pass 2**1024).
         Only i < k is visited: (i, j, k) and (k, j, i) fail together, so the
-        first failure is the first among all permutations.  slack permits
-        the gap of rounding_slack(rhs, slack) that float-mode rounding of
-        valid tables adds."""
+        first failure is the first among all permutations.  A true slack
+        (a float-mode table) permits the gap of rounding_slack(rhs) that
+        rounding of valid tables adds."""
         rows, n, limit = self._rows, len(self.carrier), self.bound.limit
         finite = [v.mag for row in rows for v in row if not v.is_infinite]
         exact = all(isinstance(m, Fraction) for m in finite)
@@ -176,8 +181,8 @@ class PseudometricTable:
                 for k in range(i + 1, n):
                     if li[k] > dij + rj[k] and j != i and j != k:
                         d_ik, rhs = rows[i][k], add_ext(rows[i][j], rows[j][k], clamp=True)
-                        if d_ik > rhs and (slack is None or d_ik.as_float() - rhs.as_float()
-                                           > rounding_slack(rhs.as_float(), slack)):
+                        if d_ik > rhs and (not slack or d_ik.as_float() - rhs.as_float()
+                                           > rounding_slack(rhs.as_float())):
                             a, b, c = self.carrier[i], self.carrier[j], self.carrier[k]
                             raise ShapeError(
                                 f"triangle inequality fails: d({a},{c})={d_ik} > "
@@ -366,39 +371,37 @@ def validate(expr: FunctorExpr, carrier, t, path="t") -> None:
 def _validate(expr, carrier, t, path):
     if isinstance(expr, Id):
         if not isinstance(t, str) or t not in carrier:
-            raise ShapeError(f"{path}: {t!r} is not a carrier atom")
+            raise ShapeError(f"{t!r} is not a carrier atom", path)
     elif isinstance(expr, Const):
         if not isinstance(t, str) or t not in expr.space.carrier:
-            raise ShapeError(
-                f"{path}: {t!r} is not an atom of constant space {expr.name!r}"
-            )
+            raise ShapeError(f"{t!r} is not an atom of constant space {expr.name!r}", path)
     elif isinstance(expr, Dist):
         if not isinstance(t, Distribution):
-            raise ShapeError(f"{path}: expected a distribution, got {t!r}")
+            raise ShapeError(f"expected a distribution, got {t!r}", path)
         for x, _ in t.items:
             _validate(expr.sub, carrier, x, f"{path}.support[{x!r}]")
     elif isinstance(expr, FinPow):
         if not isinstance(t, frozenset):
-            raise ShapeError(f"{path}: expected a frozenset, got {t!r}")
+            raise ShapeError(f"expected a frozenset, got {t!r}", path)
         for x in sorted_structs(t):
             _validate(expr.sub, carrier, x, f"{path}.{x!r}")
     elif isinstance(expr, Product):
         if not (isinstance(t, tuple) and len(t) == 2):
-            raise ShapeError(f"{path}: expected a pair, got {t!r}")
+            raise ShapeError(f"expected a pair, got {t!r}", path)
         _validate(expr.left, carrier, t[0], f"{path}[0]")
         _validate(expr.right, carrier, t[1], f"{path}[1]")
     elif isinstance(expr, DiagSquare):
         if not (isinstance(t, tuple) and len(t) == 2):
-            raise ShapeError(f"{path}: expected a pair, got {t!r}")
+            raise ShapeError(f"expected a pair, got {t!r}", path)
         _validate(expr.sub, carrier, t[0], f"{path}[0]")
         _validate(expr.sub, carrier, t[1], f"{path}[1]")
     elif isinstance(expr, Coproduct):
         if not isinstance(t, Tagged):
-            raise ShapeError(f"{path}: expected a tagged value, got {t!r}")
+            raise ShapeError(f"expected a tagged value, got {t!r}", path)
         side = expr.left if t.tag == "left" else expr.right
         _validate(side, carrier, t.value, f"{path}.{t.tag}")
     else:
-        raise ShapeError(f"unknown expression node {expr!r}")
+        raise ShapeError(f"unknown expression node {expr!r}", path)
 
 
 # ---------------------------------------------------------------------------

@@ -277,10 +277,10 @@ def values_close(a: Value, b: Value, mode: NumericMode) -> bool:
     return abs(Fraction(a.mag) - Fraction(b.mag)) <= Fraction(tol)
 
 
-def rounding_slack(x: float, floor: float = 1e-12) -> float:
+def rounding_slack(x: float) -> float:
     """The gap that float-mode rounding may open next to a finite double x:
-    two ulps of x, and never less than an absolute floor."""
-    return max(floor, 2 * math.ulp(x))
+    two ulps of x, and never less than 1e-12."""
+    return max(1e-12, 2 * math.ulp(x))
 
 
 def format_magnitude(m: Magnitude) -> str:

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -109,6 +110,21 @@ class TestHugeNumbers:
         with pytest.raises(SchemaError, match="4,300-digit limit") as err:
             parse_rational_or_inf(text, "space.d[0][2]")
         assert err.value.path == "space.d[0][2]"
+
+    def test_long_but_malformed_rational_is_malformed(self):
+        with pytest.raises(SchemaError, match="not a rational") as err:
+            parse_rational_or_inf("1" * 4301 + "/x", "space.d[0][2]")
+        assert "digit limit" not in str(err.value)
+
+    def test_digit_limit_named_as_python_has_it(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert parse_rational_or_inf("1/1" + "0" * 4400, "d") == F(1, 10**4400)
+            with pytest.raises(SchemaError, match="5,000-digit limit"):
+                parse_rational_or_inf("1/1" + "0" * 5000, "d")
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     @pytest.mark.parametrize("load", [load_system, load_lift_instance])
     def test_oversized_json_integer(self, load):
@@ -501,3 +517,24 @@ class TestLoaderFuzz:
             load_lift_instance(doc)
         assert err.value.path == path
         assert str(err.value) == message
+
+    def test_paths_holding_colon_space_survive_whole(self):
+        # a state name and a Distribution repr both put ": " inside the path
+        doc = {
+            "kind": "system", "top": "1", "expr": {"dist": {"id": {"discount": "1"}}},
+            "states": ["x: y"], "alpha": {"x: y": {"dist": [["z", "1"]]}},
+        }
+        with pytest.raises(SchemaError) as err:
+            load_system(doc)
+        assert err.value.path == "alpha[x: y].support['z']"
+        assert str(err.value) == "alpha[x: y].support['z']: 'z' is not a carrier atom"
+        lift = {
+            "top": "1", "space": {"carrier": ["a"], "d": []},
+            "expr": {"finpow": {"dist": "id"}},
+            "t1": {"set": [{"dist": [["a", "1/2"], ["z", "1/2"]]}]}, "t2": {"set": []},
+        }
+        with pytest.raises(SchemaError) as err:
+            load_lift_instance(lift)
+        path = "t1.Distribution({'a': 1/2, 'z': 1/2}).support['z']"
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: 'z' is not a carrier atom"
