@@ -195,6 +195,13 @@ class ProbTS:
                 raise SchemaError(
                     f"transitions[{s}]", f"weights sum to {total}, not 1"
                 )
+        for s in self.states:
+            for tgt, w in self.transitions.get(s, {}).items():
+                if w < 0:
+                    raise SchemaError(f"transitions[{s}][{tgt}]", f"negative weight {w}")
+            tw = Fraction(self.terminate.get(s, 0))
+            if tw < 0:
+                raise SchemaError(f"terminate[{s}]", f"negative weight {tw}")
 
 
 @dataclass
@@ -238,13 +245,9 @@ def from_prob_ts(p: ProbTS, mode: NumericMode = EXACT) -> System:
         for tgt, w in p.transitions.get(s, {}).items():
             if w > 0:
                 weights[Tagged("left", tgt)] = w
-            elif w < 0:
-                raise SchemaError(f"transitions[{s}][{tgt}]", f"negative weight {w}")
         tw = Fraction(p.terminate.get(s, 0))
         if tw > 0:
             weights[Tagged("right", TERMINATED)] = tw
-        elif tw < 0:
-            raise SchemaError(f"terminate[{s}]", f"negative weight {tw}")
         alpha[s] = Distribution(weights)
     return System(p.states, expr, alpha, TOP_ONE, mode)
 

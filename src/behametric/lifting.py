@@ -120,22 +120,19 @@ class LiftingEngine:
         # the triangle inequality already implies; both reductions are exact
         # and shrink the solver inputs considerably
         union = sorted_structs(set(p1.support()) | set(p2.support()))
-        if self.method == WASSERSTEIN:
-            sources = [x for x in union if p1.prob(x) > p2.prob(x)]
-            sinks = [x for x in union if p2.prob(x) > p1.prob(x)]
-            if not sources:
-                return zero(self.bound)
-            supply = [p1.prob(x) - p2.prob(x) for x in sources]
-            demand = [p2.prob(x) - p1.prob(x) for x in sinks]
-            cost = [[self._lift(sub, a, b) for b in sinks] for a in sources]
-            value, _ = solve_transportation(
-                TransportationInstance(supply, demand, cost)
-            )
-            return value
-        points = [x for x in union if p1.prob(x) != p2.prob(x)]
+        diff = {x: p1.prob(x) - p2.prob(x) for x in union}
+        points = [x for x in union if diff[x]]
         if not points:
             return zero(self.bound)
-        return self._kantorovich(sub, points, [p1.prob(x) - p2.prob(x) for x in points])
+        if self.method == WASSERSTEIN:
+            sources = [x for x in points if diff[x] > 0]
+            sinks = [x for x in points if diff[x] < 0]
+            cost = [[self._lift(sub, a, b) for b in sinks] for a in sources]
+            value, _ = solve_transportation(TransportationInstance(
+                [diff[x] for x in sources], [-diff[x] for x in sinks], cost
+            ))
+            return value
+        return self._kantorovich(sub, points, [diff[x] for x in points])
 
     def _diag_node(self, sub, t1, t2) -> Value:
         if self.method == WASSERSTEIN:
@@ -160,7 +157,7 @@ class LiftingEngine:
             for i in range(len(points))
             for j in range(i + 1, len(points))
         }
-        return kantorovich_linear_value(len(points), ground, coeffs, self.bound)
+        return kantorovich_linear_value(ground, coeffs, self.bound)
 
 
 def lift_dist(expr: FunctorExpr, d, method: str, t1, t2) -> Value:
@@ -182,66 +179,38 @@ def duality_gap(expr: FunctorExpr, d, t1, t2) -> Value:
 # the shared Kantorovich LP: sup of a linear functional over nonexpansive f
 
 
-def kantorovich_linear_value(n, ground, coeffs, bound: TopBound) -> Value:
+def kantorovich_linear_value(ground, coeffs, bound: TopBound) -> Value:
     """sup |sum coeffs[i] * f(i)| over f: points -> [0, top] nonexpansive
     w.r.t. the ground distances (a dict (i, j) -> Value for i < j).
 
-    The coefficients sum to zero, so one orientation suffices: the
-    reflection f -> hi - f keeps the box [0, hi] and nonexpansiveness, and
-    it maps sum coeffs[i] * f(i) to its negation.  The supremum of the
-    absolute value is therefore the maximum of the sum itself.
-
-    Under top = inf the supremum is infinite exactly when some connected
-    component of the finite-distance graph carries a nonzero net
-    coefficient; otherwise the finite maximum is attained inside the box
-    [0, sum of finite ground entries] because nets of zero make every
-    component shift-invariant.
+    The coefficients sum to zero, so shifting f by a constant leaves the sum
+    unchanged.  Under a finite top every ground distance is at most top, so a
+    nonexpansive f >= 0 spreads over at most top and shifts into [0, top]:
+    the box never binds and is left out of the LP.  The same shift makes one
+    orientation enough, since f -> c - f keeps nonexpansiveness and negates
+    the sum.  Under top = inf a component of finite distances whose
+    coefficients have a nonzero net shifts without bound; the LP is then
+    unbounded and reports the infinite supremum itself.
     """
     assert sum(coeffs) == 0, "Kantorovich coefficients must sum to zero"
-    if n == 0:
-        return zero(bound)
     inexact = any(not v.is_exact for v in ground.values())
-    finite_pairs = []
-    for (i, j), v in sorted(ground.items()):
-        if not v.is_infinite:
-            finite_pairs.append((i, j, v.as_fraction()))
-
-    if bound.is_infinite:
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, j, _ in finite_pairs:
-            parent[find(i)] = find(j)
-        nets = {}
-        for i in range(n):
-            r = find(i)
-            nets[r] = nets.get(r, Fraction(0)) + coeffs[i]
-        if any(net != 0 for net in nets.values()):
-            return Value(INF, bound)
-        hi = sum(q for _, _, q in finite_pairs)
-    else:
-        hi = bound.limit
-
-    best, _ = solve_max(kantorovich_lp(coeffs, finite_pairs, hi))
+    finite_pairs = [
+        (i, j, v.as_fraction()) for (i, j), v in ground.items() if not v.is_infinite
+    ]
+    best, _ = solve_max(kantorovich_lp(coeffs, finite_pairs))
     return Value(float(best) if inexact else best, bound)
 
 
-def kantorovich_lp(coeffs, finite_pairs, hi) -> LinearProgram:
-    """max sum coeffs[i] * f(i) over f in [0, hi] with |f(i) - f(j)| <= q
-    for every finite pair (i, j, q)."""
+def kantorovich_lp(coeffs, finite_pairs) -> LinearProgram:
+    """max sum coeffs[i] * f(i) over f >= 0 with |f(i) - f(j)| <= q for
+    every finite pair (i, j, q)."""
     n = len(coeffs)
     constraints = []
     for i, j, q in finite_pairs:
         row = [Fraction(0)] * n
         row[i], row[j] = Fraction(1), Fraction(-1)
-        constraints.append((row, "<=", q))
-        constraints.append(([-c for c in row], "<=", q))
-    return LinearProgram(coeffs, [(Fraction(0), hi)] * n, constraints)
+        constraints += [(row, q), ([-c for c in row], q)]
+    return LinearProgram(coeffs, constraints)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Exact-rational linear programming: two solvers over Fractions.
 
-``solve_max`` serves the Kantorovich nonexpansiveness LP: maximise a linear
-objective over a ``[0, hi]`` box cut by ``<=`` rows with nonnegative right-hand
-sides.  On that polytope ``x = 0`` is a vertex and the box keeps the optimum
-finite, so one tableau simplex from the slack basis suffices, with Bland's
-rule for termination under degeneracy.  ``solve_transportation`` is a
+``solve_max`` serves the Kantorovich nonexpansiveness LP in canonical form:
+maximise c . x over x >= 0 and ``A x <= b`` with ``b >= 0``.  The test
+functions of the paper range over ``[0, top]``, but their objective has
+coefficients summing to zero, so shifting a function by a constant leaves
+the objective unchanged; nonexpansiveness bounds its spread by the finite
+ground distances, so every optimum shifts into the box and the box is left
+out.  ``x = 0`` is then a vertex, one tableau simplex from the slack basis
+suffices, with Bland's rule for termination under degeneracy, and an
+unbounded LP reports an infinite supremum.  ``solve_transportation`` is a
 transportation simplex on the bipartite basis tree for the Wasserstein
 couplings: a north-west-corner start, MODI potentials, Bland's rule and
 pivots around the tree cycle.  Both are exact.
@@ -23,50 +27,42 @@ ONE = Fraction(1)
 
 @dataclass
 class LinearProgram:
-    """max objective . x over 0 <= x <= hi and rows coeffs . x <= rhs.
+    """max objective . x over x >= 0 and rows coeffs . x <= rhs.
 
-    bounds[i] = (0, hi) with hi >= 0; constraints are (coefficients, "<=",
-    rhs) with rhs >= 0, so x = 0 is always feasible.
+    Each constraint is a (coefficients, rhs) pair with rhs >= 0, so x = 0 is
+    always feasible.
     """
 
     objective: list
-    bounds: list
     constraints: list = field(default_factory=list)
 
     def __post_init__(self):
         self.objective = [Fraction(c) for c in self.objective]
-        self.bounds = [(Fraction(lo), Fraction(hi)) for lo, hi in self.bounds]
         n = len(self.objective)
-        if len(self.bounds) != n:
-            raise ValueError("bounds/objective length mismatch")
-        for i, (lo, hi) in enumerate(self.bounds):
-            if lo != 0 or hi < 0:
-                raise ValueError(f"bound {i} is [{lo}, {hi}], not [0, hi] with hi >= 0")
         cleaned = []
-        for k, (coeffs, rel, rhs) in enumerate(self.constraints):
-            if len(coeffs) != n:
-                raise ValueError(f"constraint {k} length mismatch")
-            rhs = Fraction(rhs)
-            if rel != "<=" or rhs < 0:
-                raise ValueError(f"constraint {k} is {rel!r} {rhs}, not <= with rhs >= 0")
-            cleaned.append(([Fraction(c) for c in coeffs], rel, rhs))
+        for k, row in enumerate(self.constraints):
+            if len(row) != 2 or len(row[0]) != n or Fraction(row[1]) < 0:
+                raise ValueError(
+                    f"constraint {k} is {row!r}, not ({n} coefficients, rhs >= 0)"
+                )
+            cleaned.append(([Fraction(c) for c in row[0]], Fraction(row[1])))
         self.constraints = cleaned
 
 
 def solve_max(lp: LinearProgram):
-    """Solve the LP exactly; returns (optimal value, witness vector).
+    """Solve the LP exactly; returns (optimal value, witness vector), or
+    (INF, None) when the objective is unbounded above.
 
-    The witness is an optimal vertex, feasible and attaining the value
-    exactly.  The box rows x_i <= hi_i and the constraint rows each get a
-    slack column, and the slacks form the starting basis.  The polytope is
-    bounded, so some row always limits the ratio test.
+    Every rhs is nonnegative, so x = 0 satisfies each row, and the n active
+    hyperplanes x_i = 0 make it a vertex: the slack columns of the rows form
+    a feasible starting basis, and no first phase is needed.  The witness is
+    an optimal vertex, feasible and attaining the value exactly.  An entering
+    column with no positive entry is a feasible ray along which the
+    objective grows without bound.
     """
-    n = len(lp.objective)
-    rows = [([ONE if k == i else ZERO for k in range(n)], hi) for i, (_, hi) in enumerate(lp.bounds)]
-    rows += [(coeffs, rhs) for coeffs, _, rhs in lp.constraints]
-    m = len(rows)
+    n, m = len(lp.objective), len(lp.constraints)
     tableau = []
-    for r, (coeffs, rhs) in enumerate(rows):
+    for r, (coeffs, rhs) in enumerate(lp.constraints):
         slack = [ZERO] * m
         slack[r] = ONE
         tableau.append(coeffs + slack + [rhs])
@@ -87,6 +83,8 @@ def solve_max(lp: LinearProgram):
                 ratio = tableau[r][-1] / a
                 if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
                     best, leaving = ratio, r
+        if leaving is None:
+            return INF, None
         _pivot(tableau, basis, leaving, entering)
     x = [ZERO] * n
     for r, b in enumerate(basis):

@@ -182,19 +182,13 @@ def _solve_square(rows, nvars):
 
 
 def lp_vertices(lp: LinearProgram, budget: OracleBudget = DEFAULT_BUDGET):
-    """All vertices of the LP's feasible region by active-set enumeration."""
+    """All vertices of the LP's feasible region by active-set enumeration
+    over the hyperplanes x_i = 0 and the constraint rows."""
     n = len(lp.objective)
     if n > 6:
         raise OracleScaleError("vertex oracle capped at 6 variables")
-    hyperplanes = []  # (coeffs, rhs) treated as equalities when active
-    for i, (lo, hi) in enumerate(lp.bounds):
-        e_lo = [ZERO] * n
-        e_lo[i] = ONE
-        hyperplanes.append((e_lo, lo))
-        if hi != lo:
-            hyperplanes.append((list(e_lo), hi))
-    for coeffs, _, rhs in lp.constraints:
-        hyperplanes.append((list(coeffs), rhs))
+    hyperplanes = [([ONE if k == i else ZERO for k in range(n)], ZERO) for i in range(n)]
+    hyperplanes += lp.constraints
     if comb(len(hyperplanes), n) > budget.max_bases:
         raise OracleScaleError("too many candidate active sets")
     seen = set()
@@ -211,19 +205,16 @@ def lp_vertices(lp: LinearProgram, budget: OracleBudget = DEFAULT_BUDGET):
 
 
 def _feasible(lp, x):
-    for xi, (lo, hi) in zip(x, lp.bounds):
-        if not lo <= xi <= hi:
-            return False
-    for coeffs, _, rhs in lp.constraints:
-        if sum(c * xi for c, xi in zip(coeffs, x)) > rhs:
-            return False
-    return True
+    return all(xi >= 0 for xi in x) and all(
+        sum(c * xi for c, xi in zip(coeffs, x)) <= rhs for coeffs, rhs in lp.constraints
+    )
 
 
 def kantorovich_vertex_oracle(lp: LinearProgram, budget: OracleBudget = DEFAULT_BUDGET):
     """Best objective over all basic feasible vertices; the independent
-    check for solve_max on the nonexpansiveness polytopes (which are
-    bounded, so the optimum sits at a vertex)."""
+    check for solve_max.  Valid only for bounded LPs, whose optimum sits at
+    a vertex: the Kantorovich LPs are bounded once the rows x_i <= top of
+    the paper's [0, top] test functions are added."""
     best = None
     for v in lp_vertices(lp, budget):
         obj = sum(c * x for c, x in zip(lp.objective, v))

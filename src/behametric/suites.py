@@ -36,7 +36,7 @@ from .lifting import (
     kantorovich_lp,
     lift_dist,
 )
-from .lp import solve_max
+from .lp import LinearProgram, solve_max
 from .oracle import kantorovich_vertex_oracle, wasserstein_oracle
 from .values import (
     INF,
@@ -251,8 +251,8 @@ def suite_well_behaved(seed=0, n=50) -> SuiteResult:
 
 def suite_oracle(seed=0, n=30) -> SuiteResult:
     """Engine vs brute force: Hausdorff vs coupling enumeration, the
-    transportation simplex vs polytope vertices, the Kantorovich simplex vs
-    active-set vertex enumeration."""
+    transportation simplex vs polytope vertices, the box-free Kantorovich
+    simplex vs active-set vertex enumeration of the LP boxed in [0, top]."""
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -283,9 +283,16 @@ def suite_oracle(seed=0, n=30) -> SuiteResult:
                     (i, j, d.get(points[i], points[j]).as_fraction())
                     for i, j in itertools.combinations(range(len(points)), 2)
                 ]
-                lp = kantorovich_lp(coeffs, finite_pairs, bound.limit)
+                lp = kantorovich_lp(coeffs, finite_pairs)
                 val, _ = solve_max(lp)
-                vertex = kantorovich_vertex_oracle(lp)
+                # the oracle solves the paper's LP, over f: points -> [0, top]
+                box = [
+                    ([Fraction(k == i) for k in range(len(points))], bound.limit)
+                    for i in range(len(points))
+                ]
+                vertex = kantorovich_vertex_oracle(
+                    LinearProgram(lp.objective, lp.constraints + box)
+                )
                 checked += 1
                 if val != vertex:
                     failures.append(("dist-k-lp", p1, p2, val, vertex))

@@ -144,6 +144,19 @@ class TestProbTs:
         with pytest.raises(SchemaError):
             ProbTS(("x",), {}, {"x": F(1)}, F(1))
 
+    @pytest.mark.parametrize(
+        "transitions, terminate, path",
+        [
+            ({"s": {"t": F(3, 2)}, "t": {"t": F(1)}}, {"s": F(-1, 2)}, "terminate[s]"),
+            ({"s": {"s": F(-1, 2), "t": F(3, 2)}, "t": {"t": F(1)}}, {}, "transitions[s][s]"),
+        ],
+    )
+    def test_negative_weights_rejected_on_construction(self, transitions, terminate, path):
+        # the weights sum to 1, so only the sign check can refuse them
+        with pytest.raises(SchemaError) as err:
+            ProbTS(("s", "t"), transitions, terminate, F(1, 2))
+        assert err.value.path == path
+
     def test_compiles_to_expected_transition_structures(self):
         p = ProbTS(
             states=("x", "y", "u", "z"),

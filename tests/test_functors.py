@@ -36,6 +36,7 @@ from behametric.values import (
     TopBound,
     Value,
     add_ext,
+    rounding_slack,
     zero,
 )
 
@@ -149,8 +150,8 @@ def oracle_check_triangle(table, slack=None):
         lhs = table.get(a, c)
         rhs = add_ext(table.get(a, b), table.get(b, c), clamp=True)
         if lhs > rhs:
-            if slack is not None and not lhs.is_infinite:
-                if lhs.as_float() - rhs.as_float() <= slack:
+            if slack and not lhs.is_infinite:
+                if lhs.as_float() - rhs.as_float() <= rounding_slack(rhs.as_float()):
                     continue
             raise ShapeError(
                 f"triangle inequality fails: d({a},{c})={lhs} > "
@@ -217,6 +218,30 @@ class TestTriangleCheckAgainstOracle:
             for inexact in (True, False):
                 assert any(s[:2] == (accepted, inexact) for s in seen)
         assert any(s[2] for s in seen) and any(not s[3] for s in seen)
+
+    def test_large_float_mode_entries_beside_inf(self):
+        # float-mode tables under top = inf: doubles of 1e5 to 1e9, where two
+        # ulps exceed the 1e-12 floor, in clusters that are at distance inf
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(300):
+            carrier = rng.sample(["q", "b", "x", "a", "m", "c"], rng.randint(3, 6))
+            cluster = {a: rng.randrange(2) for a in carrier}
+            where = {a: rng.uniform(1e5, 1e9) for a in carrier}
+            entries = {}
+            for a, b in itertools.combinations(carrier, 2):
+                if cluster[a] != cluster[b]:
+                    entries[a, b] = Value(INF, TOP_INF)
+                    continue
+                m = abs(where[a] - where[b])
+                m += rng.choice([0, 0, 0, -2, -1, 1, 2, 3]) * math.ulp(m)
+                entries[a, b] = Value(F(m), TOP_INF)
+            oracle, new = triangle_verdicts(carrier, entries, TOP_INF, 1e-12)
+            assert new == oracle, (carrier, entries)
+            strict, _ = triangle_verdicts(carrier, entries, TOP_INF, None)
+            seen.add((new is None, strict is None))
+        # rejected, accepted, and accepted only within rounding_slack
+        assert seen >= {(False, False), (True, True), (True, False)}
 
     def test_top_rounding_cases(self):
         # a double of the top and a sum clamped to a double of the top

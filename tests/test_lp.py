@@ -14,16 +14,19 @@ from behametric.oracle import kantorovich_vertex_oracle, transportation_vertices
 from behametric.values import INF, TOP_INF, TOP_ONE, Value, zero
 
 
+def _box(n, hi):
+    """The rows x_i <= hi of the box [0, hi]^n."""
+    return [([F(k == i) for k in range(n)], hi) for i in range(n)]
+
+
 class TestSolveMax:
     def test_box_only(self):
-        lp = LinearProgram([F(1)], [(F(0), F(1))])
+        lp = LinearProgram([F(1)], _box(1, F(1)))
         value, witness = solve_max(lp)
         assert value == 1 and witness == [F(1)]
 
     def test_simple_constraint(self):
-        lp = LinearProgram(
-            [F(1), F(1)], [(F(0), F(1))] * 2, [([F(1), F(1)], "<=", F(1))]
-        )
+        lp = LinearProgram([F(1), F(1)], _box(2, F(1)) + [([F(1), F(1)], F(1))])
         value, _ = solve_max(lp)
         assert value == 1
 
@@ -33,10 +36,9 @@ class TestSolveMax:
         # {0 <= f <= 1, |f(a) - f(b)| <= 1/3}.
         lp = LinearProgram(
             objective=[F(1, 2) - F(1), F(1, 2)],
-            bounds=[(F(0), F(1))] * 2,
-            constraints=[
-                ([F(1), F(-1)], "<=", F(1, 3)),
-                ([F(-1), F(1)], "<=", F(1, 3)),
+            constraints=_box(2, F(1)) + [
+                ([F(1), F(-1)], F(1, 3)),
+                ([F(-1), F(1)], F(1, 3)),
             ],
         )
         value, witness = solve_max(lp)
@@ -48,23 +50,28 @@ class TestSolveMax:
         assert sum(c * x for c, x in zip(lp.objective, witness)) == value
 
     @pytest.mark.parametrize(
-        "bounds, constraints",
+        "constraints",
         [
-            ([(F(0), F(1))], [([F(1)], ">=", F(1, 4))]),
-            ([(F(0), F(1))], [([F(1)], "=", F(1, 4))]),
-            ([(F(0), F(1))], [([F(1)], "<=", F(-1))]),
-            ([(F(1, 2), F(1))], []),
-            ([(F(0), F(-1))], []),
+            [([F(1)], ">=", F(1, 4))],
+            [([F(1)], "=", F(1, 4))],
+            [([F(1)], F(-1))],
         ],
-        ids=["ge-row", "eq-row", "negative-rhs", "nonzero-lower-bound", "negative-hi"],
+        ids=["ge-row", "eq-row", "negative-rhs"],
     )
-    def test_rejects_what_the_polytope_cannot_hold(self, bounds, constraints):
-        with pytest.raises(ValueError, match="bound 0|constraint 0"):
-            LinearProgram([F(1)], bounds, constraints)
+    def test_rejects_what_the_polytope_cannot_hold(self, constraints):
+        with pytest.raises(ValueError, match="constraint 0"):
+            LinearProgram([F(1)], constraints)
 
     def test_zero_width_box_pins_the_variable(self):
-        lp = LinearProgram([F(1), F(2)], [(F(0), F(0)), (F(0), F(1))])
+        lp = LinearProgram([F(1), F(2)], [([F(1), F(0)], F(0)), ([F(0), F(1)], F(1))])
         assert solve_max(lp) == (F(2), [F(0), F(1)])
+
+    def test_unbounded_lp_is_infinite(self):
+        # x1 - x2 <= 1 leaves the ray x1 = x2 -> inf open to 1 + 1 = 2
+        assert solve_max(LinearProgram([F(1), F(1)], [([F(1), F(-1)], F(1))])) == (INF, None)
+        assert solve_max(LinearProgram([F(1)])) == (INF, None)
+        # a nonpositive objective needs no row to stay bounded
+        assert solve_max(LinearProgram([F(-1), F(0)])) == (F(0), [F(0), F(0)])
 
     def test_witness_attains_value_on_random_lps(self):
         rng = random.Random(3)
@@ -76,15 +83,14 @@ class TestSolveMax:
                 cons.append(
                     (
                         [F(rng.randint(-2, 2)) for _ in range(n)],
-                        "<=",
                         F(rng.randint(0, 4), rng.randint(1, 3)),
                     )
                 )
-            lp = LinearProgram(obj, [(F(0), F(2))] * n, cons)
+            lp = LinearProgram(obj, _box(n, F(2)) + cons)
             value, witness = solve_max(lp)
             assert sum(c * x for c, x in zip(obj, witness)) == value
             assert all(F(0) <= x <= F(2) for x in witness)
-            for coeffs, _, rhs in cons:
+            for coeffs, rhs in cons:
                 assert sum(c * x for c, x in zip(coeffs, witness)) <= rhs
 
 

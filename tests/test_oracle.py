@@ -74,9 +74,14 @@ class TestTransportationVertices:
             assert count >= 1
 
 
+def _box(n, hi):
+    """The rows x_i <= hi of the box [0, hi]^n."""
+    return [([F(k == i) for k in range(n)], hi) for i in range(n)]
+
+
 class TestLpVertexOracle:
     def test_one_variable_box(self):
-        lp = LinearProgram([F(1)], [(F(0), F(1))])
+        lp = LinearProgram([F(1)], _box(1, F(1)))
         assert kantorovich_vertex_oracle(lp) == 1
 
     def test_counterexample_lp_value_zero(self):
@@ -84,10 +89,9 @@ class TestLpVertexOracle:
         # f(x1)+f(x2)-f(x2)-f(x1): identically zero over the whole polytope
         lp = LinearProgram(
             objective=[F(0), F(0)],
-            bounds=[(F(0), F(1))] * 2,
-            constraints=[
-                ([F(1), F(-1)], "<=", F(1)),
-                ([F(-1), F(1)], "<=", F(1)),
+            constraints=_box(2, F(1)) + [
+                ([F(1), F(-1)], F(1)),
+                ([F(-1), F(1)], F(1)),
             ],
         )
         assert kantorovich_vertex_oracle(lp) == 0
@@ -102,11 +106,10 @@ class TestLpVertexOracle:
                 cons.append(
                     (
                         [F(rng.randint(-2, 2)) for _ in range(n)],
-                        "<=",
                         F(rng.randint(1, 4)),
                     )
                 )
-            lp = LinearProgram(obj, [(F(0), F(3))] * n, cons)
+            lp = LinearProgram(obj, _box(n, F(3)) + cons)
             try:
                 vertex_best = kantorovich_vertex_oracle(lp)
             except OracleScaleError:
@@ -115,16 +118,12 @@ class TestLpVertexOracle:
             assert value == vertex_best
 
     def test_variable_cap(self):
-        lp = LinearProgram([F(1)] * 7, [(F(0), F(1))] * 7)
+        lp = LinearProgram([F(1)] * 7, _box(7, F(1)))
         with pytest.raises(OracleScaleError):
             kantorovich_vertex_oracle(lp)
 
     def test_vertices_are_feasible(self):
-        lp = LinearProgram(
-            [F(1), F(2)],
-            [(F(0), F(1))] * 2,
-            [([F(1), F(1)], "<=", F(1))],
-        )
+        lp = LinearProgram([F(1), F(2)], _box(2, F(1)) + [([F(1), F(1)], F(1))])
         vs = list(lp_vertices(lp))
         assert [F(0), F(0)] in vs and [F(0), F(1)] in vs and [F(1), F(0)] in vs
         for v in vs:
@@ -158,10 +157,10 @@ def _both_orientations(points, coeffs, d, bound):
     for i, j, q in finite:
         row = [F(0)] * len(points)
         row[i], row[j] = F(1), F(-1)
-        rows += [(row, "<=", q), ([-c for c in row], "<=", q)]
-    box = [(F(0), hi)] * len(points)
+        rows += [(row, q), ([-c for c in row], q)]
+    rows += _box(len(points), hi)
     return max(
-        kantorovich_vertex_oracle(LinearProgram([s * c for c in coeffs], box, rows))
+        kantorovich_vertex_oracle(LinearProgram([s * c for c in coeffs], rows))
         for s in (1, -1)
     )
 
@@ -184,7 +183,7 @@ class TestKantorovichOrientation:
                 for i in range(len(points))
                 for j in range(i + 1, len(points))
             }
-            assert kantorovich_linear_value(len(points), ground, coeffs, TOP_ONE) == Value(brute, TOP_ONE)
+            assert kantorovich_linear_value(ground, coeffs, TOP_ONE) == Value(brute, TOP_ONE)
             assert lift_dist(Dist(Id()), d, KANTOROVICH, p1, p2) == Value(brute, TOP_ONE)
 
     def test_diag_square_pairs_match_both_orientations(self):
