@@ -123,11 +123,7 @@ def _emit(text, out):
 
 def cmd_dist(args) -> int:
     system = _load(args)
-    opts = IterationOptions(
-        max_iter=args.max_iter,
-        tol=args.float_tol if args.float_tol is not None else 1e-9,
-        method=args.method,
-    )
+    opts = IterationOptions(max_iter=args.max_iter, method=args.method)
     matrix = behavioral_distances(system, opts)
     if args.json:
         text = json.dumps(matrix_to_json(matrix), ensure_ascii=False, indent=2) + "\n"
@@ -176,12 +172,7 @@ def cmd_check(args) -> int:
 
 def cmd_trace(args) -> int:
     system = _load(args)
-    opts = IterationOptions(
-        max_iter=args.max_iter,
-        tol=args.float_tol if args.float_tol is not None else 1e-9,
-        method=args.method,
-        trace=True,
-    )
+    opts = IterationOptions(max_iter=args.max_iter, method=args.method, trace=True)
     matrix = behavioral_distances(system, opts)
     _emit(trace_to_csv(matrix), args.out)
     if not matrix.converged and args.strict:

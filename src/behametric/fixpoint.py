@@ -3,9 +3,9 @@
 Starting from the zero pseudometric, each step lifts the current table
 through the system's functor expression and evaluates at the pairs of
 transition structures.  The sequence is monotone nondecreasing; iteration
-stops at an exact fixed point (exact mode), at residual < tol (float mode),
-or at the iteration cap, in which case the result is returned unconverged
-rather than raised.
+stops at an exact fixed point (exact mode), at residual < the mode's
+tolerance (float mode), or at the iteration cap, in which case the result
+is returned unconverged rather than raised.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .values import (
 @dataclass
 class IterationOptions:
     max_iter: int = 10000
-    tol: float = 1e-9
+    tol: float | None = None  # None: the system's mode.tolerance
     trace: bool = False
     method: str = WASSERSTEIN
     workers: int = 1  # iteration is serial; kept while callers still pass 1
@@ -41,7 +41,7 @@ class IterationOptions:
             raise ValueError("workers must be 1: iteration is serial")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if not self.tol > 0:
+        if self.tol is not None and not self.tol > 0:
             raise ValueError("tol must be positive")
 
 
@@ -63,6 +63,7 @@ class DistanceMatrix:
 def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> DistanceMatrix:
     opts = opts or IterationOptions()
     mode = sys.mode
+    tol = mode.tolerance if opts.tol is None else opts.tol
     bound = sys.top
     states = sys.states
     current = PseudometricTable(states, {}, bound, check=False)
@@ -78,10 +79,7 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
             prev = current.get(a, b)
             step = dist_e(v, prev)
             if v < prev:
-                # rounding between float-mode iterations can nudge an entry a
-                # few ulps above its next exact lift; clamp that, fail loudly
-                # on anything larger
-                if mode.is_exact or step.as_float() > rounding_slack(v.as_float()):
+                if not _rounded_below(v, prev):
                     raise AssertionError(
                         f"iteration not monotone at ({a},{b}): {prev} -> {v}"
                     )
@@ -91,12 +89,11 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
             if not mode.is_exact:
                 v = _round_value(v, bound)
             entries[(a, b)] = v
-        # axiom check each step; float-mode rounding may miss by a few ulps
-        current = PseudometricTable(states, entries, bound, slack=not mode.is_exact)
+        current = PseudometricTable(states, entries, bound)
         if opts.trace:
             trace.append(current)
         # exact: no entry changed; float: the largest step is below tol
-        converged = residual.is_zero if mode.is_exact else residual.as_float() < opts.tol
+        converged = residual.is_zero if mode.is_exact else residual.as_float() < tol
         if converged:
             break
     if not pairs:
@@ -113,21 +110,31 @@ def _lift_pairs(sys: System, table: PseudometricTable, method: str, pairs) -> li
     return [engine.dist(sys.alpha[a], sys.alpha[b]) for a, b in pairs]
 
 
+def _rounded_below(v: Value, prev: Value) -> bool:
+    """v, below prev, is a double (a rounded entry or an irrational root)
+    or follows one, and lies within the gap that rounding opens: the loop
+    clamps such a step, and any other decrease is a bug."""
+    if v.is_exact and prev.is_exact:
+        return False
+    return dist_e(v, prev).as_float() <= rounding_slack(v.as_float())
+
+
 def _round_value(v: Value, bound) -> Value:
-    """Snap an exact entry to the nearest double so float-mode denominators
-    stay bounded across iterations."""
+    """The nearest double of an exact entry: float mode stores doubles."""
     if isinstance(v.mag, float):
         return v
-    return Value(Fraction(float(v.mag)), bound)
+    return Value(float(v.mag), bound)
 
 
-def verify_fixed_point(sys: System, m: DistanceMatrix, tol: float = 1e-9) -> bool:
-    """One further lifting step changes nothing (exact) / less than tol."""
+def verify_fixed_point(sys: System, m: DistanceMatrix, tol: float | None = None) -> bool:
+    """One further lifting step changes nothing (exact) / less than tol,
+    by default the system's mode.tolerance."""
+    tol = sys.mode.tolerance if tol is None else tol
     pairs = list(combinations(sys.states, 2))
     for (a, b), v in zip(pairs, _lift_pairs(sys, m.table, m.method, pairs)):
         prev = m.table.get(a, b)
         if sys.mode.is_exact:
-            if v != prev:
+            if v != prev and not (v < prev and _rounded_below(v, prev)):
                 return False
         elif dist_e(_round_value(v, sys.top), prev).as_float() >= tol:
             return False
@@ -142,9 +149,11 @@ class UnconvergedError(RuntimeError):
     pass
 
 
-def kernel_partition(m: DistanceMatrix, tol: float = 1e-9):
-    """Equivalence classes of distance zero (exact) or <= tol (float);
-    transitivity comes with the triangle inequality."""
+def kernel_partition(m: DistanceMatrix, tol: float | None = None):
+    """Equivalence classes of distance zero (exact) or <= tol (float, by
+    default the matrix's mode.tolerance); transitivity comes with the
+    triangle inequality."""
+    tol = m.mode.tolerance if tol is None else tol
     if not m.converged:
         raise UnconvergedError("kernel of an unconverged matrix is undefined")
 

@@ -124,11 +124,13 @@ class PseudometricTable:
     their distance.  The pseudometric axioms are validated on construction;
     entries all live under one TopBound.  The triangle check compares
     integers, the magnitudes scaled by the LCM of their denominators, unless
-    some are doubles (irrational p-norm roots); flagged triples are re-judged
-    as Values, so verdicts and messages are those of Value arithmetic.
+    some are doubles (float-mode entries, irrational p-norm roots); flagged
+    triples are re-judged as Values, so verdicts and messages are those of
+    Value arithmetic.  A triple holding a double may miss by the gap of
+    rounding_slack(rhs) that rounding opens; exact triples are judged exactly.
     """
 
-    def __init__(self, carrier, entries, bound: TopBound, check: bool = True, slack=None):
+    def __init__(self, carrier, entries, bound: TopBound, check: bool = True):
         self.carrier = tuple(carrier)
         self._index = {a: i for i, a in enumerate(self.carrier)}
         if len(self._index) != len(self.carrier):
@@ -154,15 +156,13 @@ class PseudometricTable:
         z = zero(bound)
         self._rows = [[z if v is None else v for v in row] for row in rows]
         if check:
-            self._check_triangle(slack)
+            self._check_triangle()
 
-    def _check_triangle(self, slack=None):
+    def _check_triangle(self):
         """INF counts as an integer above any sum of two finite entries (not
         as inf: int + inf raises once the scaled integers pass 2**1024).
         Only i < k is visited: (i, j, k) and (k, j, i) fail together, so the
-        first failure is the first among all permutations.  A true slack
-        (a float-mode table) permits the gap of rounding_slack(rhs) that
-        rounding of valid tables adds."""
+        first failure is the first among all permutations."""
         rows, n, limit = self._rows, len(self.carrier), self.bound.limit
         finite = [v.mag for row in rows for v in row if not v.is_infinite]
         exact = all(isinstance(m, Fraction) for m in finite)
@@ -181,7 +181,8 @@ class PseudometricTable:
                 for k in range(i + 1, n):
                     if li[k] > dij + rj[k] and j != i and j != k:
                         d_ik, rhs = rows[i][k], add_ext(rows[i][j], rows[j][k], clamp=True)
-                        if d_ik > rhs and (not slack or d_ik.as_float() - rhs.as_float()
+                        if d_ik > rhs and (d_ik.is_exact and rhs.is_exact
+                                           or d_ik.as_float() - rhs.as_float()
                                            > rounding_slack(rhs.as_float())):
                             a, b, c = self.carrier[i], self.carrier[j], self.carrier[k]
                             raise ShapeError(
@@ -462,7 +463,10 @@ class OracleScaleError(ValueError):
     pass
 
 
-def enumerate_couplings_finpow(x1: frozenset, x2: frozenset, max_cells: int = 16):
+MAX_COUPLING_CELLS = 16
+
+
+def enumerate_couplings_finpow(x1: frozenset, x2: frozenset):
     """All T subset of X1 x X2 with full projections.  Empty collection iff
     exactly one side is empty; {emptyset} when both are."""
     if not x1 and not x2:
@@ -472,9 +476,9 @@ def enumerate_couplings_finpow(x1: frozenset, x2: frozenset, max_cells: int = 16
     cells = [
         (a, b) for a in sorted_structs(x1) for b in sorted_structs(x2)
     ]
-    if len(cells) > max_cells:
+    if len(cells) > MAX_COUPLING_CELLS:
         raise OracleScaleError(
-            f"{len(cells)} candidate cells exceed the oracle cap {max_cells}"
+            f"{len(cells)} candidate cells exceed the oracle cap {MAX_COUPLING_CELLS}"
         )
     out = []
     for mask in range(1, 1 << len(cells)):

@@ -103,7 +103,7 @@ def _pivot(tableau, basis, r, c):
             continue
         f = other[c]
         if f != 0:
-            tableau[i] = [ov - f * rv for ov, rv in zip(other, row)]
+            tableau[i] = [ov - f * rv if rv else ov for ov, rv in zip(other, row)]
     basis[r] = c
 
 

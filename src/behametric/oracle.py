@@ -9,7 +9,6 @@ polytope-vertex enumeration for the nonexpansiveness LPs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -29,20 +28,8 @@ from .lp import LinearProgram
 from .values import Value, add_ext, inf_fin, scale, sup_fin, top, zero
 
 ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_coupling_cells: int = 16
-    max_support: int = 4
-    max_bases: int = 200000
-
-    def __post_init__(self):
-        if min(self.max_coupling_cells, self.max_support, self.max_bases) < 1:
-            raise ValueError("budgets must be positive")
-
-
-DEFAULT_BUDGET = OracleBudget()
+MAX_SUPPORT = 4  # support points per distribution in wasserstein_oracle
+MAX_BASES = 200000  # candidate active sets in lp_vertices
 
 
 def _ground_fn(sub, d):
@@ -56,13 +43,13 @@ def _ground_fn(sub, d):
     return lambda a, b: lift_dist(sub, d, "wasserstein", a, b)
 
 
-def wasserstein_oracle(expr, d, t1, t2, budget: OracleBudget = DEFAULT_BUDGET) -> Value:
+def wasserstein_oracle(expr, d, t1, t2) -> Value:
     """Exact minimum of the evaluated distance over every coupling,
     enumerated exhaustively; top of the bound when no coupling exists."""
     bound = d.bound
     if isinstance(expr, FinPow):
         ground = _ground_fn(expr.sub, d)
-        couplings = enumerate_couplings_finpow(t1, t2, budget.max_coupling_cells)
+        couplings = enumerate_couplings_finpow(t1, t2)
         if not couplings:
             return top(bound)
         values = []
@@ -79,7 +66,7 @@ def wasserstein_oracle(expr, d, t1, t2, budget: OracleBudget = DEFAULT_BUDGET) -
     if isinstance(expr, Dist):
         ground = _ground_fn(expr.sub, d)
         points = sorted_structs(set(t1.support()) | set(t2.support()))
-        if max(len(t1.support()), len(t2.support())) > budget.max_support:
+        if max(len(t1.support()), len(t2.support())) > MAX_SUPPORT:
             raise OracleScaleError("distribution support exceeds the oracle cap")
         supply = [t1.prob(x) for x in points]
         demand = [t2.prob(x) for x in points]
@@ -181,7 +168,7 @@ def _solve_square(rows, nvars):
     return sol
 
 
-def lp_vertices(lp: LinearProgram, budget: OracleBudget = DEFAULT_BUDGET):
+def lp_vertices(lp: LinearProgram):
     """All vertices of the LP's feasible region by active-set enumeration
     over the hyperplanes x_i = 0 and the constraint rows."""
     n = len(lp.objective)
@@ -189,7 +176,7 @@ def lp_vertices(lp: LinearProgram, budget: OracleBudget = DEFAULT_BUDGET):
         raise OracleScaleError("vertex oracle capped at 6 variables")
     hyperplanes = [([ONE if k == i else ZERO for k in range(n)], ZERO) for i in range(n)]
     hyperplanes += lp.constraints
-    if comb(len(hyperplanes), n) > budget.max_bases:
+    if comb(len(hyperplanes), n) > MAX_BASES:
         raise OracleScaleError("too many candidate active sets")
     seen = set()
     for extra in itertools.combinations(range(len(hyperplanes)), n):
@@ -210,13 +197,13 @@ def _feasible(lp, x):
     )
 
 
-def kantorovich_vertex_oracle(lp: LinearProgram, budget: OracleBudget = DEFAULT_BUDGET):
+def kantorovich_vertex_oracle(lp: LinearProgram):
     """Best objective over all basic feasible vertices; the independent
     check for solve_max.  Valid only for bounded LPs, whose optimum sits at
     a vertex: the Kantorovich LPs are bounded once the rows x_i <= top of
     the paper's [0, top] test functions are added."""
     best = None
-    for v in lp_vertices(lp, budget):
+    for v in lp_vertices(lp):
         obj = sum(c * x for c, x in zip(lp.objective, v))
         if best is None or obj > best:
             best = obj

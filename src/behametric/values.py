@@ -2,8 +2,9 @@
 
 Distances live in a closed interval [0, top] where top is either a finite
 positive rational or infinity.  Finite exact magnitudes are Fractions; a
-finite float marks a value as inexact (only an irrational p-norm root makes
-one).  Infinity is the float ``math.inf``: Python orders it above every
+finite float is a double, whatever the mode: float mode stores its entries
+as doubles, and in exact mode only an irrational p-norm root makes one.
+Infinity is the float ``math.inf``: Python orders it above every
 Fraction, and it absorbs under + and under * by a positive scale; the one
 undefined case, inf - inf, is handled in ``dist_e``.  A Fraction meeting a
 float is converted to a float first, which overflows past ~1.8e308 and
@@ -91,10 +92,10 @@ EXACT = NumericMode.exact()
 class Value:
     """An element of [0, top].
 
-    ``mag`` is a Fraction (exact), INF, or a finite float.  Finite float
-    magnitudes flag the value as inexact; they only arise from irrational
-    p-th roots and propagate through further arithmetic.  Values order by
-    their magnitudes, so INF is greatest.
+    ``mag`` is a Fraction (exact), INF, or a finite float.  A finite float
+    is a double (a float-mode entry or an irrational p-th root), flags the
+    value as inexact and propagates through further arithmetic.  Values
+    order by their magnitudes, so INF is greatest.
     """
 
     mag: Magnitude
@@ -278,7 +279,7 @@ def values_close(a: Value, b: Value, mode: NumericMode) -> bool:
 
 
 def rounding_slack(x: float) -> float:
-    """The gap that float-mode rounding may open next to a finite double x:
+    """The gap that rounding to doubles may open next to a finite double x:
     two ulps of x, and never less than 1e-12."""
     return max(1e-12, 2 * math.ulp(x))
 

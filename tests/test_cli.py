@@ -91,6 +91,15 @@ class TestDist:
         assert "--threads" in capsys.readouterr().err
 
 
+    def test_exact_entry_followed_by_its_double(self, capsys, tmp_path):
+        # an exact entry 11/48 is followed by its p-norm double, just below it
+        doc = tmp_path / "pnorm.json"
+        doc.write_text("""{"kind": "system", "top": "1", "spaces": {"k": {"carrier": ["p", "q", "r"], "d": [["p", "q", "1/8"], ["p", "r", "1/8"], ["q", "r", "1/4"]]}}, "expr": {"dist": {"coproduct": [{"product": {"left": {"id": {"discount": "2/5"}}, "right": {"id": {"discount": "3/10"}}, "eval": {"pnorm": {"p": 2, "c1": "1/2", "c2": "1/2"}}}}, {"const": "k"}]}}, "states": ["s0", "s1", "s2", "s3"], "alpha": {"s0": {"dist": [[{"left": {"pair": ["s2", "s3"]}}, "1/2"], [{"right": "r"}, "1/2"]]}, "s1": {"dist": [[{"left": {"pair": ["s1", "s1"]}}, "2/5"], [{"left": {"pair": ["s3", "s0"]}}, "1/10"], [{"right": "r"}, "1/2"]]}, "s2": {"dist": [[{"right": "q"}, "1"]]}, "s3": {"dist": [[{"left": {"pair": ["s1", "s0"]}}, "1/3"], [{"right": "p"}, "2/3"]]}}}""")
+        code, out, err = run(capsys, "dist", str(doc), "--exact")
+        assert code == 0 and err == ""
+        assert out.splitlines()[3] == "s2,5/8,5/8,0,5/12"
+
+
 class TestLift:
     def test_counterexample_both(self, capsys):
         code, out, _ = run(capsys, "lift", str(DATA / "counterexample.json"), "--both")
@@ -192,7 +201,7 @@ class TestInfinityRendering:
     def test_float_json(self, capsys, system):
         code, out, _ = run(capsys, "dist", system, "--float", "1e-9", "--json")
         assert code == 0
-        assert out == self.as_json("0.3333333333333333", "1.850371707708594e-17", "float")
+        assert out == self.as_json("0.3333333333333333", "0.0", "float")
 
     def test_exact_trace(self, capsys, system):
         code, out, _ = run(capsys, "trace", system, "--exact")

@@ -29,12 +29,16 @@ from behametric.functors import (
     Coproduct,
     Dist,
     Distribution,
+    FinPow,
     Id,
+    PNormEval,
+    Product,
     PseudometricTable,
     Tagged,
+    sorted_structs,
 )
 from behametric.suites import random_prob_ts
-from behametric.values import NumericMode, TOP_INF, Value
+from behametric.values import EXACT, NumericMode, TOP_INF, TOP_ONE, Value
 
 
 def fig1_left(c=F(9, 10), eps=F(1, 20)):
@@ -141,6 +145,18 @@ class TestIterationBehavior:
         assert m.converged
         assert abs(m.get("x", "y").as_float() - 9 / 200) < 1e-8
 
+    def test_mode_tolerance_stops_the_iteration(self):
+        p = random_prob_ts(random.Random(0), 4)
+        coarse_sys = from_prob_ts(p, NumericMode.approx(1e-3))
+        coarse = behavioral_distances(coarse_sys)
+        fine_sys = from_prob_ts(p, NumericMode.approx(1e-9))
+        fine = behavioral_distances(fine_sys)
+        explicit = behavioral_distances(fine_sys, IterationOptions(tol=1e-3))
+        assert coarse.iterations == explicit.iterations < fine.iterations
+        # verify_fixed_point reads the same tolerance off the mode
+        assert verify_fixed_point(coarse_sys, coarse)
+        assert not verify_fixed_point(coarse_sys, coarse, tol=1e-9)
+
     def test_float_mode_slack_scales_with_large_entries(self):
         # under top = inf, entries near 1e5 have ulps above 1e-12: rounding
         # between iterations must not read as a monotonicity or triangle
@@ -174,6 +190,66 @@ class TestIterationBehavior:
     def test_workers_other_than_one_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             IterationOptions(workers=2)
+
+
+# an exact entry 11/48 is followed by its p-norm double, just below it
+PNORM_DOC = """{"kind": "system", "top": "1", "spaces": {"k": {"carrier": ["p", "q", "r"], "d": [["p", "q", "1/8"], ["p", "r", "1/8"], ["q", "r", "1/4"]]}}, "expr": {"dist": {"coproduct": [{"product": {"left": {"id": {"discount": "2/5"}}, "right": {"id": {"discount": "3/10"}}, "eval": {"pnorm": {"p": 2, "c1": "1/2", "c2": "1/2"}}}}, {"const": "k"}]}}, "states": ["s0", "s1", "s2", "s3"], "alpha": {"s0": {"dist": [[{"left": {"pair": ["s2", "s3"]}}, "1/2"], [{"right": "r"}, "1/2"]]}, "s1": {"dist": [[{"left": {"pair": ["s1", "s1"]}}, "2/5"], [{"left": {"pair": ["s3", "s0"]}}, "1/10"], [{"right": "r"}, "1/2"]]}, "s2": {"dist": [[{"right": "q"}, "1"]]}, "s3": {"dist": [[{"left": {"pair": ["s1", "s0"]}}, "1/3"], [{"right": "p"}, "2/3"]]}}}"""
+
+
+def pnorm_system(seed, mode):
+    """Dist or FinPow of Coproduct(Product(Id, Id, p-norm), Const) on 3 or 4
+    states, under top 1 or inf: irrational roots meet exact entries."""
+    rng = random.Random(seed)
+    bound = rng.choice([TOP_ONE, TOP_INF])
+    hi = bound.limit if bound.limit is not None else F(3)
+    pos = {a: rng.choice([F(0), hi / 8, hi / 4, hi / 3, hi / 2]) for a in "pqr"}
+    k = PseudometricTable(
+        "pqr", {(a, b): Value(abs(pos[a] - pos[b]), bound) for a, b in ["pq", "pr", "qr"]}, bound
+    )
+    discounts = [F(1, 5), F(3, 10), F(2, 5), F(1, 2)]
+    ev = PNormEval(rng.choice([2, 3]), rng.choice([F(1, 4), F(1, 2)]), rng.choice([F(1, 4), F(1, 2)]))
+    sub = Coproduct(
+        Product(Id(rng.choice(discounts)), Id(rng.choice(discounts)), ev), Const(k, name="k")
+    )
+    outer = rng.choice([Dist, FinPow])
+    states = [f"s{i}" for i in range(rng.randint(3, 4))]
+
+    def leaf():
+        if rng.random() < 0.6:
+            return Tagged("left", (rng.choice(states), rng.choice(states)))
+        return Tagged("right", rng.choice("pqr"))
+
+    alpha = {}
+    for s in states:
+        leaves = sorted_structs({leaf() for _ in range(rng.randint(1, 3))})
+        if outer is Dist:
+            w = [rng.randint(1, 4) for _ in leaves]
+            alpha[s] = Distribution({x: F(wi, sum(w)) for x, wi in zip(leaves, w)})
+        else:
+            alpha[s] = frozenset(leaves)
+    return System(states, outer(sub), alpha, bound, mode)
+
+
+class TestDoublesInExactMode:
+    def test_exact_entry_followed_by_its_double(self):
+        sys_ = load_system(PNORM_DOC)
+        m = behavioral_distances(sys_)
+        assert m.converged and m.iterations == 14
+        assert verify_fixed_point(sys_, m)
+
+    def test_pnorm_systems_converge_and_verify(self):
+        # seeds 300-499 include exact runs where a double lands just below
+        # the exact entry it follows (390, 458) and where rounding alone
+        # breaks a triangle by an ulp (318, 450, 485)
+        converged = 0
+        for seed in range(300, 500):
+            for mode in (EXACT, NumericMode.approx(1e-9)):
+                sys_ = pnorm_system(seed, mode)
+                m = behavioral_distances(sys_, IterationOptions(max_iter=100))
+                if m.converged:
+                    converged += 1
+                    assert verify_fixed_point(sys_, m), (seed, mode)
+        assert converged > 350
 
 
 def _with_entry(m, a, b, v):

@@ -15,7 +15,6 @@ from behametric.functors import (
 from behametric.lifting import KANTOROVICH, WASSERSTEIN, kantorovich_linear_value, lift_dist
 from behametric.lp import LinearProgram, solve_max
 from behametric.oracle import (
-    OracleBudget,
     kantorovich_vertex_oracle,
     lp_vertices,
     transportation_vertices,
@@ -131,16 +130,12 @@ class TestLpVertexOracle:
 
 
 class TestBudget:
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            OracleBudget(max_support=0)
-
     def test_support_cap(self):
         d = random_pseudometric(random.Random(0), TOP_ONE, n_atoms=5)
         p1 = Distribution({a: F(1, 5) for a in d.carrier})
         p2 = Distribution({d.carrier[0]: F(1)})
         with pytest.raises(OracleScaleError):
-            wasserstein_oracle(Dist(Id()), d, p1, p2, OracleBudget(max_support=4))
+            wasserstein_oracle(Dist(Id()), d, p1, p2)
 
 
 def _both_orientations(points, coeffs, d, bound):
