@@ -5,9 +5,12 @@ ev(r1, r2) = r1 + r2, a two-point space with d(x1, x2) = 1, and the pair
 t1 = (x1, x2) versus its swap t2 = (x2, x1).
 
 The only coupling whose projections give back t1 and t2 is
-((x1, x2), (x2, x1)), so the Wasserstein distance is
-d(x1, x2) + d(x2, x1) = 2.  But every nonexpansive test function f gives
-f(x1) + f(x2) - f(x2) - f(x1) = 0, so the Kantorovich distance is 0.
+((x1, x2), (x2, x1)), so the Wasserstein distance pays the straight
+matching, d(x1, x2) + d(x2, x1) = 2.  But every nonexpansive test function f
+gives f(x1) + f(x2) - f(x2) - f(x1) = 0, so the Kantorovich distance is 0.
+By Kantorovich-Rubinstein duality it is also the cheaper of shipping t1's
+components onto t2's straight or crossed, and crossing sends x1 to x1 and
+x2 to x2 for free: the duality gap of 2 is the saving from crossing.
 """
 
 from fractions import Fraction as F

@@ -219,11 +219,6 @@ class PseudometricTable:
         )
 
 
-def discrete_table(carrier, bound: TopBound) -> PseudometricTable:
-    """All-zero pseudometric on a carrier (so single-atom spaces for free)."""
-    return PseudometricTable(carrier, {}, bound, check=False)
-
-
 # ---------------------------------------------------------------------------
 # functor expressions
 
@@ -403,45 +398,6 @@ def _validate(expr, carrier, t, path):
         _validate(side, carrier, t.value, f"{path}.{t.tag}")
     else:
         raise ShapeError(f"unknown expression node {expr!r}", path)
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def eval_functor(expr: FunctorExpr, g, t, bound: TopBound) -> Value:
-    """Evaluate a structure of leaves through g: leaf -> Value and fold with
-    the node's evaluation function (expected value / max / rho / sum)."""
-    lookup = g if callable(g) else g.__getitem__
-    return _eval(expr, lookup, t, bound)
-
-
-def _eval(expr, g, t, bound):
-    if isinstance(expr, (Id,)):
-        return scale(g(t), expr.discount)
-    if isinstance(expr, Const):
-        return g(t)
-    if isinstance(expr, Dist):
-        acc = zero(bound)
-        for x, p in t.items:
-            acc = add_ext(acc, scale(_eval(expr.sub, g, x, bound), p))
-        return acc
-    if isinstance(expr, FinPow):
-        if not t:
-            return zero(bound)  # max of the empty set is 0
-        return sup_fin(_eval(expr.sub, g, x, bound) for x in sorted_structs(t))
-    if isinstance(expr, Product):
-        v1 = _eval(expr.left, g, t[0], bound)
-        v2 = _eval(expr.right, g, t[1], bound)
-        return combine_product(expr.eval, v1, v2)
-    if isinstance(expr, Coproduct):
-        side = expr.left if t.tag == "left" else expr.right
-        return _eval(side, g, t.value, bound)
-    if isinstance(expr, DiagSquare):
-        v1 = _eval(expr.sub, g, t[0], bound)
-        v2 = _eval(expr.sub, g, t[1], bound)
-        return add_ext(v1, v2)
-    raise ShapeError(f"unknown expression node {expr!r}")
 
 
 def combine_product(ev, v1: Value, v2: Value) -> Value:

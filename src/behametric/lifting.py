@@ -1,15 +1,21 @@
 """Kantorovich and Wasserstein liftings over the functor grammar.
 
 Both liftings are computed recursively: every node lifts the distance that
-recursively lifting its children produced.  Wherever a closed form is known
-(identity, constants, coproduct, products, the Hausdorff form on finite sets)
-both methods share it; the distribution node solves a transportation problem
-(Wasserstein) or the nonexpansive-function LP (Kantorovich); the diagonal
-square is the one node where the two genuinely disagree.
+recursively lifting its children produced, and that distance is a
+pseudometric.  Wherever a closed form is known (identity, constants,
+coproduct, products, the Hausdorff form on finite sets) both methods share
+it.  At the distribution node both methods solve one transportation
+problem: by Kantorovich-Rubinstein duality the supremum over nonexpansive
+test functions equals the cheapest transport of one distribution onto the
+other.  The diagonal square is the one node where the two genuinely
+disagree: Wasserstein pays the straight matching its single coupling
+forces, while Kantorovich ships the two components straight or crossed,
+whichever is cheaper.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +33,7 @@ from .functors import (
     combine_product,
     sorted_structs,
 )
-from .lp import LinearProgram, TransportationInstance, solve_max, solve_transportation
+from .lp import TransportationInstance, solve_transportation
 from .values import (
     INF,
     ConfigurationError,
@@ -114,25 +120,14 @@ class LiftingEngine:
         return sup_fin([d1, d2])
 
     def _dist_node(self, sub, p1, p2) -> Value:
-        # the lifted ground distance is a pseudometric, so mass common to
-        # both distributions can stay in place at zero cost, and points with
-        # equal weight never constrain the optimal test function beyond what
-        # the triangle inequality already implies; both reductions are exact
-        # and shrink the solver inputs considerably
+        # one transportation problem for both methods: the lifted ground
+        # distance is a pseudometric, so mass common to both distributions
+        # stays in place at zero cost and only the difference ships
         union = sorted_structs(set(p1.support()) | set(p2.support()))
-        diff = {x: p1.prob(x) - p2.prob(x) for x in union}
-        points = [x for x in union if diff[x]]
-        if not points:
-            return zero(self.bound)
-        if self.method == WASSERSTEIN:
-            sources = [x for x in points if diff[x] > 0]
-            sinks = [x for x in points if diff[x] < 0]
-            cost = [[self._lift(sub, a, b) for b in sinks] for a in sources]
-            value, _ = solve_transportation(TransportationInstance(
-                [diff[x] for x in sources], [-diff[x] for x in sinks], cost
-            ))
-            return value
-        return self._kantorovich(sub, points, [diff[x] for x in points])
+        diff = [p1.prob(x) - p2.prob(x) for x in union]
+        return _ship(
+            diff, lambda i, j: self._lift(sub, union[i], union[j]), self.bound
+        )
 
     def _diag_node(self, sub, t1, t2) -> Value:
         if self.method == WASSERSTEIN:
@@ -140,22 +135,13 @@ class LiftingEngine:
             return add_ext(
                 self._lift(sub, t1[0], t2[0]), self._lift(sub, t1[1], t2[1])
             )
-        points = sorted_structs({t1[0], t1[1], t2[0], t2[1]})
-        index = {x: i for i, x in enumerate(points)}
-        coeffs = [Fraction(0)] * len(points)
-        for a in (t1[0], t1[1]):
-            coeffs[index[a]] += 1
-        for b in (t2[0], t2[1]):
-            coeffs[index[b]] -= 1
-        return self._kantorovich(sub, points, coeffs)
-
-    def _kantorovich(self, sub, points, coeffs) -> Value:
-        """The Kantorovich LP over points, its ground distances lifted
-        through sub."""
+        # t1's components ship onto t2's; a point in both cancels
+        points = sorted_structs({*t1, *t2})
+        coeffs = [t1.count(x) - t2.count(x) for x in points]
         ground = {
             (i, j): self._lift(sub, points[i], points[j])
-            for i in range(len(points))
-            for j in range(i + 1, len(points))
+            for i, j in itertools.combinations(range(len(points)), 2)
+            if coeffs[i] * coeffs[j] < 0
         }
         return kantorovich_linear_value(ground, coeffs, self.bound)
 
@@ -176,41 +162,41 @@ def duality_gap(expr: FunctorExpr, d, t1, t2) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# the shared Kantorovich LP: sup of a linear functional over nonexpansive f
+# the Kantorovich lifting of a linear functional, by transport
 
 
 def kantorovich_linear_value(ground, coeffs, bound: TopBound) -> Value:
     """sup |sum coeffs[i] * f(i)| over f: points -> [0, top] nonexpansive
-    w.r.t. the ground distances (a dict (i, j) -> Value for i < j).
+    w.r.t. the ground distances, a dict (i, j) -> Value for i < j that holds
+    at least every pair of a positive and a negative coefficient.
 
-    The coefficients sum to zero, so shifting f by a constant leaves the sum
-    unchanged.  Under a finite top every ground distance is at most top, so a
-    nonexpansive f >= 0 spreads over at most top and shifts into [0, top]:
-    the box never binds and is left out of the LP.  The same shift makes one
-    orientation enough, since f -> c - f keeps nonexpansiveness and negates
-    the sum.  Under top = inf a component of finite distances whose
-    coefficients have a nonzero net shifts without bound; the LP is then
-    unbounded and reports the infinite supremum itself.
+    Precondition: the ground distance satisfies the triangle inequality.
+    The coefficients sum to zero, so by Kantorovich-Rubinstein duality the
+    supremum is then the cheapest transport of the positive coefficients
+    onto the negative ones, every unit shipped directly at its ground
+    distance.  An infinite distance forbids its cell; when every plan needs
+    one, the supremum is infinite, since a test function then shifts
+    without bound on one side of the infinite gap.  On the diagonal square
+    the two unit masses ship straight or crossed, and the duality gap to
+    Wasserstein is what crossing saves.
     """
     assert sum(coeffs) == 0, "Kantorovich coefficients must sum to zero"
-    inexact = any(not v.is_exact for v in ground.values())
-    finite_pairs = [
-        (i, j, v.as_fraction()) for (i, j), v in ground.items() if not v.is_infinite
-    ]
-    best, _ = solve_max(kantorovich_lp(coeffs, finite_pairs))
-    return Value(float(best) if inexact else best, bound)
+    return _ship(coeffs, lambda i, j: ground[min(i, j), max(i, j)], bound)
 
 
-def kantorovich_lp(coeffs, finite_pairs) -> LinearProgram:
-    """max sum coeffs[i] * f(i) over f >= 0 with |f(i) - f(j)| <= q for
-    every finite pair (i, j, q)."""
-    n = len(coeffs)
-    constraints = []
-    for i, j, q in finite_pairs:
-        row = [Fraction(0)] * n
-        row[i], row[j] = Fraction(1), Fraction(-1)
-        constraints += [(row, q), ([-c for c in row], q)]
-    return LinearProgram(coeffs, constraints)
+def _ship(weights, cost, bound: TopBound) -> Value:
+    """Cheapest transport of the positive weights onto the negative ones,
+    at cost(i, j) per unit from i to j."""
+    sources = [i for i, w in enumerate(weights) if w > 0]
+    sinks = [j for j, w in enumerate(weights) if w < 0]
+    if not sources:
+        return zero(bound)
+    value, _ = solve_transportation(TransportationInstance(
+        [weights[i] for i in sources],
+        [-weights[j] for j in sinks],
+        [[cost(i, j) for j in sinks] for i in sources],
+    ))
+    return value
 
 
 # ---------------------------------------------------------------------------

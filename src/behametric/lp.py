@@ -1,110 +1,19 @@
-"""Exact-rational linear programming: two solvers over Fractions.
+"""Exact-rational transportation: move supply to demand at minimum cost.
 
-``solve_max`` serves the Kantorovich nonexpansiveness LP in canonical form:
-maximise c . x over x >= 0 and ``A x <= b`` with ``b >= 0``.  The test
-functions of the paper range over ``[0, top]``, but their objective has
-coefficients summing to zero, so shifting a function by a constant leaves
-the objective unchanged; nonexpansiveness bounds its spread by the finite
-ground distances, so every optimum shifts into the box and the box is left
-out.  ``x = 0`` is then a vertex, one tableau simplex from the slack basis
-suffices, with Bland's rule for termination under degeneracy, and an
-unbounded LP reports an infinite supremum.  ``solve_transportation`` is a
-transportation simplex on the bipartite basis tree for the Wasserstein
-couplings: a north-west-corner start, MODI potentials, Bland's rule and
-pivots around the tree cycle.  Both are exact.
+``solve_transportation`` is a transportation simplex on the bipartite basis
+tree: a north-west-corner start, MODI potentials, Bland's rule and pivots
+around the tree cycle, all over Fractions.  It serves both liftings of a
+distribution and the Kantorovich lifting of the diagonal square.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .values import INF, TopBound, Value, ensure_compatible
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-@dataclass
-class LinearProgram:
-    """max objective . x over x >= 0 and rows coeffs . x <= rhs.
-
-    Each constraint is a (coefficients, rhs) pair with rhs >= 0, so x = 0 is
-    always feasible.
-    """
-
-    objective: list
-    constraints: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.objective = [Fraction(c) for c in self.objective]
-        n = len(self.objective)
-        cleaned = []
-        for k, row in enumerate(self.constraints):
-            if len(row) != 2 or len(row[0]) != n or Fraction(row[1]) < 0:
-                raise ValueError(
-                    f"constraint {k} is {row!r}, not ({n} coefficients, rhs >= 0)"
-                )
-            cleaned.append(([Fraction(c) for c in row[0]], Fraction(row[1])))
-        self.constraints = cleaned
-
-
-def solve_max(lp: LinearProgram):
-    """Solve the LP exactly; returns (optimal value, witness vector), or
-    (INF, None) when the objective is unbounded above.
-
-    Every rhs is nonnegative, so x = 0 satisfies each row, and the n active
-    hyperplanes x_i = 0 make it a vertex: the slack columns of the rows form
-    a feasible starting basis, and no first phase is needed.  The witness is
-    an optimal vertex, feasible and attaining the value exactly.  An entering
-    column with no positive entry is a feasible ray along which the
-    objective grows without bound.
-    """
-    n, m = len(lp.objective), len(lp.constraints)
-    tableau = []
-    for r, (coeffs, rhs) in enumerate(lp.constraints):
-        slack = [ZERO] * m
-        slack[r] = ONE
-        tableau.append(coeffs + slack + [rhs])
-    # last row: the negated reduced costs, and the objective value at the end
-    tableau.append([-c for c in lp.objective] + [ZERO] * (m + 1))
-    basis = list(range(n, n + m))
-    while True:
-        cost = tableau[m]
-        # Bland: the first improving column enters, the smallest tied basic
-        # variable leaves
-        entering = next((j for j in range(n + m) if cost[j] < 0), None)
-        if entering is None:
-            break
-        leaving = best = None
-        for r in range(m):
-            a = tableau[r][entering]
-            if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    best, leaving = ratio, r
-        if leaving is None:
-            return INF, None
-        _pivot(tableau, basis, leaving, entering)
-    x = [ZERO] * n
-    for r, b in enumerate(basis):
-        if b < n:
-            x[b] = tableau[r][-1]
-    return tableau[m][-1], x
-
-
-def _pivot(tableau, basis, r, c):
-    piv = tableau[r][c]
-    row = tableau[r]
-    if piv != 1:
-        tableau[r] = row = [v / piv for v in row]
-    for i, other in enumerate(tableau):
-        if i == r:
-            continue
-        f = other[c]
-        if f != 0:
-            tableau[i] = [ov - f * rv if rv else ov for ov, rv in zip(other, row)]
-    basis[r] = c
 
 
 @dataclass
@@ -112,7 +21,8 @@ class TransportationInstance:
     """Balanced transportation problem: move supply to demand at min cost.
 
     Costs are Values; an infinite cost forbids the cell.  Supplies and
-    demands are nonnegative rationals with equal (unit) totals.
+    demands are nonnegative rationals with equal totals, not necessarily 1:
+    the two components of a diagonal square ship a mass of up to 2.
     """
 
     supply: list
@@ -151,7 +61,7 @@ def solve_transportation(inst: TransportationInstance):
     When every feasible plan must use a forbidden (infinite-cost) cell the
     value is infinite and the plan is None.  An inexact (double) cost is
     priced at its exact binary value, and the optimum is then returned as
-    a double, as in ``kantorovich_linear_value``.
+    a double.
     """
     m, n = len(inst.supply), len(inst.demand)
     bound = inst.bound

@@ -1,14 +1,16 @@
-"""Independent brute-force references for the lifting computations.
+"""Independent references for the lifting computations.
 
-Everything here is exponential and meant for tests and the `check` command
-only: coupling enumeration for finite sets and the diagonal square,
-transportation-polytope vertex enumeration for distributions, and
-polytope-vertex enumeration for the nonexpansiveness LPs.
+Everything here is meant for tests and the `check` command only: coupling
+enumeration for finite sets and the diagonal square, transportation-polytope
+vertex enumeration for distributions, and, for the Kantorovich side, which
+the engine computes by transport, the nonexpansiveness LP itself, solved by
+a tableau simplex and by polytope-vertex enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -24,10 +26,10 @@ from .functors import (
     sorted_structs,
 )
 from .lifting import lift_dist
-from .lp import LinearProgram
-from .values import Value, add_ext, inf_fin, scale, sup_fin, top, zero
+from .values import INF, Value, add_ext, inf_fin, scale, sup_fin, top, zero
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 MAX_SUPPORT = 4  # support points per distribution in wasserstein_oracle
 MAX_BASES = 200000  # candidate active sets in lp_vertices
 
@@ -132,8 +134,6 @@ def _solve_tree(supply, demand, subset):
     return plan
 
 
-ONE = Fraction(1)
-
 
 def _solve_square(rows, nvars):
     """Gaussian elimination for an (possibly overdetermined) exact system;
@@ -168,6 +168,114 @@ def _solve_square(rows, nvars):
     return sol
 
 
+# ---------------------------------------------------------------------------
+# the Kantorovich nonexpansiveness LP, solved by simplex and by vertices
+
+
+def kantorovich_lp(coeffs, finite_pairs) -> LinearProgram:
+    """max sum coeffs[i] * f(i) over f >= 0 with |f(i) - f(j)| <= q for
+    every finite pair (i, j, q).
+
+    The paper's test functions range over [0, top], but the coefficients
+    sum to zero, so shifting f by a constant leaves the objective unchanged,
+    and nonexpansiveness bounds the spread of f by the finite distances:
+    every optimum shifts into the box, which is left out.  Under top = inf
+    a component of finite distances whose coefficients have a nonzero net
+    shifts without bound, and the LP is unbounded.
+    """
+    n = len(coeffs)
+    constraints = []
+    for i, j, q in finite_pairs:
+        row = [ZERO] * n
+        row[i], row[j] = ONE, -ONE
+        constraints += [(row, q), ([-c for c in row], q)]
+    return LinearProgram(coeffs, constraints)
+
+
+@dataclass
+class LinearProgram:
+    """max objective . x over x >= 0 and rows coeffs . x <= rhs.
+
+    Each constraint is a (coefficients, rhs) pair with rhs >= 0, so x = 0 is
+    always feasible.
+    """
+
+    objective: list
+    constraints: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.objective = [Fraction(c) for c in self.objective]
+        n = len(self.objective)
+        cleaned = []
+        for k, row in enumerate(self.constraints):
+            if len(row) != 2 or len(row[0]) != n or Fraction(row[1]) < 0:
+                raise ValueError(
+                    f"constraint {k} is {row!r}, not ({n} coefficients, rhs >= 0)"
+                )
+            cleaned.append(([Fraction(c) for c in row[0]], Fraction(row[1])))
+        self.constraints = cleaned
+
+
+def solve_max(lp: LinearProgram):
+    """Solve the LP exactly; returns (optimal value, witness vector), or
+    (INF, None) when the objective is unbounded above.
+
+    A one-phase tableau simplex with Bland's rule for termination under
+    degeneracy.  Every rhs is nonnegative, so x = 0 satisfies each row, and
+    the n active hyperplanes x_i = 0 make it a vertex: the slack columns of
+    the rows form a feasible starting basis, and no first phase is needed.
+    The witness is
+    an optimal vertex, feasible and attaining the value exactly.  An entering
+    column with no positive entry is a feasible ray along which the
+    objective grows without bound.
+    """
+    n, m = len(lp.objective), len(lp.constraints)
+    tableau = []
+    for r, (coeffs, rhs) in enumerate(lp.constraints):
+        slack = [ZERO] * m
+        slack[r] = ONE
+        tableau.append(coeffs + slack + [rhs])
+    # last row: the negated reduced costs, and the objective value at the end
+    tableau.append([-c for c in lp.objective] + [ZERO] * (m + 1))
+    basis = list(range(n, n + m))
+    while True:
+        cost = tableau[m]
+        # Bland: the first improving column enters, the smallest tied basic
+        # variable leaves
+        entering = next((j for j in range(n + m) if cost[j] < 0), None)
+        if entering is None:
+            break
+        leaving = best = None
+        for r in range(m):
+            a = tableau[r][entering]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
+                    best, leaving = ratio, r
+        if leaving is None:
+            return INF, None
+        _pivot(tableau, basis, leaving, entering)
+    x = [ZERO] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = tableau[r][-1]
+    return tableau[m][-1], x
+
+
+def _pivot(tableau, basis, r, c):
+    piv = tableau[r][c]
+    row = tableau[r]
+    if piv != 1:
+        tableau[r] = row = [v / piv for v in row]
+    for i, other in enumerate(tableau):
+        if i == r:
+            continue
+        f = other[c]
+        if f != 0:
+            tableau[i] = [ov - f * rv if rv else ov for ov, rv in zip(other, row)]
+    basis[r] = c
+
+
 def lp_vertices(lp: LinearProgram):
     """All vertices of the LP's feasible region by active-set enumeration
     over the hyperplanes x_i = 0 and the constraint rows."""
@@ -199,7 +307,7 @@ def _feasible(lp, x):
 
 def kantorovich_vertex_oracle(lp: LinearProgram):
     """Best objective over all basic feasible vertices; the independent
-    check for solve_max.  Valid only for bounded LPs, whose optimum sits at
+    check for solve_max and for the engine's Kantorovich lifting.  Valid only for bounded LPs, whose optimum sits at
     a vertex: the Kantorovich LPs are bounded once the rows x_i <= top of
     the paper's [0, top] test functions are added."""
     best = None

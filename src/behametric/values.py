@@ -265,19 +265,6 @@ def pth_power(v: Value, p: int) -> Value:
     return Value(v.mag**p, v.bound)
 
 
-def values_close(a: Value, b: Value, mode: NumericMode) -> bool:
-    """Equality test honouring the numeric mode.  Inexact magnitudes are
-    always compared with the float tolerance, even in exact mode."""
-    ensure_compatible(a, b)
-    if a.mag == b.mag:
-        return True
-    if (a.is_exact and b.is_exact and mode.is_exact) or a.is_infinite or b.is_infinite:
-        return False
-    tol = mode.tolerance if not mode.is_exact else 1e-9
-    # as rationals: a float subtraction overflows past ~1e308
-    return abs(Fraction(a.mag) - Fraction(b.mag)) <= Fraction(tol)
-
-
 def rounding_slack(x: float) -> float:
     """The gap that rounding to doubles may open next to a finite double x:
     two ulps of x, and never less than 1e-12."""

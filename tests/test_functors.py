@@ -12,19 +12,15 @@ from behametric.functors import (
     DiagSquare,
     Dist,
     Distribution,
-    FinPow,
     Id,
-    MaxEval,
     PNormEval,
     Product,
     PseudometricTable,
     ShapeError,
     Tagged,
     check_expr_bound,
-    discrete_table,
     enumerate_couplings_diagsquare,
     enumerate_couplings_finpow,
-    eval_functor,
     struct_key,
     validate,
 )
@@ -37,10 +33,9 @@ from behametric.values import (
     Value,
     add_ext,
     rounding_slack,
-    zero,
 )
 
-UNIT = discrete_table(["✓"], TOP_ONE)
+UNIT = PseudometricTable(["✓"], {}, TOP_ONE, check=False)
 
 
 class TestDistribution:
@@ -113,7 +108,7 @@ class TestPseudometricTable:
              ShapeError, "nonzero diagonal at 'b'"),
             (lambda: PseudometricTable(["a", "b"], {("a", "b"): Value(F(1), TOP_INF)}, TOP_ONE),
              ConfigurationError, "table entry under a different bound"),
-            (lambda: discrete_table(["a", "b"], TOP_ONE).get("a", "z"),
+            (lambda: PseudometricTable(["a", "b"], {}, TOP_ONE, check=False).get("a", "z"),
              ShapeError, "atoms 'a', 'z' not in carrier"),
         ],
         ids=["duplicate", "unknown-atom", "conflict", "diagonal", "bound", "get-unknown"],
@@ -390,53 +385,6 @@ class TestCouplingsDiagSquare:
     def test_projections(self):
         ((l1, l2), (r1, r2)) = enumerate_couplings_diagsquare(("a", "b"), ("c", "d"))[0]
         assert (l1, r1) == ("a", "b") and (l2, r2) == ("c", "d")
-
-
-class TestEvalFunctor:
-    def test_expected_value(self):
-        g = {"p0": zero(TOP_ONE), "ph": Value(F(1, 2), TOP_ONE)}
-        p = Distribution({"p0": F(1, 2), "ph": F(1, 2)})
-        assert eval_functor(Dist(Id()), g, p, TOP_ONE) == Value(F(1, 4), TOP_ONE)
-
-    def test_max_of_empty_set_is_zero(self):
-        assert eval_functor(FinPow(Id()), {}, frozenset(), TOP_ONE).is_zero
-
-    def test_diag_square_doubles_constant(self):
-        g = {"a": Value(F(3), TOP_INF)}
-        assert eval_functor(DiagSquare(Id()), g, ("a", "a"), TOP_INF) == Value(
-            F(6), TOP_INF
-        )
-
-    def test_discount_scales(self):
-        g = {"a": Value(F(1), TOP_ONE)}
-        assert eval_functor(Id(F(9, 10)), g, "a", TOP_ONE) == Value(F(9, 10), TOP_ONE)
-
-    def test_monotone_in_g(self):
-        rng = random.Random(1)
-        exprs = [
-            Dist(Id()),
-            FinPow(Id()),
-            Product(Id(), Id(), MaxEval()),
-            Product(Id(), Id(), PNormEval(1, F(1, 2), F(1, 2))),
-            Coproduct(Id(), Id()),
-            DiagSquare(Id()),
-        ]
-        from behametric.suites import random_structure
-
-        carrier = ("a", "b", "c")
-        grid = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
-        for expr in exprs:
-            bound = TOP_INF if isinstance(expr, DiagSquare) else TOP_ONE
-            for _ in range(25):
-                t = random_structure(rng, expr, carrier)
-                lo = {a: Value(rng.choice(grid), bound) for a in carrier}
-                hi = {
-                    a: Value(rng.choice([q for q in grid if q >= lo[a].mag]), bound)
-                    for a in carrier
-                }
-                assert eval_functor(expr, lo, t, bound) <= eval_functor(
-                    expr, hi, t, bound
-                )
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))

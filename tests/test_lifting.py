@@ -17,7 +17,6 @@ from behametric.functors import (
     Product,
     PseudometricTable,
     Tagged,
-    discrete_table,
 )
 from behametric.lifting import (
     KANTOROVICH,
@@ -132,7 +131,7 @@ class TestNodeForms:
 
     def test_composed_expression(self):
         # distribution over (next state + termination), a discounted step
-        unit = discrete_table(["✓"], TOP_ONE)
+        unit = PseudometricTable(["✓"], {}, TOP_ONE, check=False)
         expr = Dist(Coproduct(Id(F(9, 10)), Const(unit, name="unit")))
         p1 = Distribution({Tagged("left", "a"): F(1)})
         p2 = Distribution({Tagged("right", "✓"): F(1)})
@@ -173,6 +172,39 @@ class TestInexactCosts:
             assert not w.is_exact and not k.is_exact
             assert abs(w.as_float() - k.as_float()) < 1e-12
             assert abs(w.as_float() - 0.5**0.5) < 1e-12
+
+    def test_an_unused_irrational_cost_leaves_both_methods_exact(self):
+        # (a, a) and (a, b) both ship to (c, c) at the exact cost 1, while
+        # the irrational sqrt(1/2) between them is a cost no plan can use
+        pair = Product(Id(), Id(), PNormEval(2, F(1, 2), F(1, 2)))
+        expr = Dist(pair)
+        p1 = Distribution({("a", "a"): F(1, 2), ("a", "b"): F(1, 2)})
+        p2 = Distribution({("c", "c"): F(1)})
+        ones = {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
+        for bound in (TOP_ONE, TOP_INF):
+            d = table(["a", "b", "c"], ones, bound)
+            assert not lift_dist(pair, d, WASSERSTEIN, ("a", "a"), ("a", "b")).is_exact
+            for method in (KANTOROVICH, WASSERSTEIN):
+                v = lift_dist(expr, d, method, p1, p2)
+                assert v.is_exact and v == Value(F(1), bound), method
+        # seeded instances: K and W agree in value and in exactness, also
+        # where an irrational cost lies among the support points and W is exact
+        for bound in (TOP_ONE, TOP_INF):
+            rng = random.Random(1)
+            mixed = 0
+            for _ in range(300):
+                d = random_pseudometric(rng, bound)
+                t1 = random_structure(rng, expr, d.carrier)
+                t2 = random_structure(rng, expr, d.carrier)
+                k = lift_dist(expr, d, KANTOROVICH, t1, t2)
+                w = lift_dist(expr, d, WASSERSTEIN, t1, t2)
+                assert k == w and k.is_exact == w.is_exact, (bound, t1, t2, k, w)
+                points = set(t1.support()) | set(t2.support())
+                mixed += w.is_exact and any(
+                    not lift_dist(pair, d, WASSERSTEIN, a, b).is_exact
+                    for a, b in itertools.combinations(points, 2)
+                )
+            assert mixed >= 2, bound
 
 
 class TestLiftingProperties:

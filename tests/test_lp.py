@@ -4,13 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from behametric.lp import (
+from behametric.lp import TransportationInstance, solve_transportation
+from behametric.oracle import (
     LinearProgram,
-    TransportationInstance,
+    kantorovich_vertex_oracle,
     solve_max,
-    solve_transportation,
+    transportation_vertices,
 )
-from behametric.oracle import kantorovich_vertex_oracle, transportation_vertices
 from behametric.values import INF, TOP_INF, TOP_ONE, Value, zero
 
 
@@ -20,6 +20,8 @@ def _box(n, hi):
 
 
 class TestSolveMax:
+    """The tableau simplex that referees the Kantorovich lifting."""
+
     def test_box_only(self):
         lp = LinearProgram([F(1)], _box(1, F(1)))
         value, witness = solve_max(lp)

@@ -13,10 +13,11 @@ from behametric.functors import (
     PseudometricTable,
 )
 from behametric.lifting import KANTOROVICH, WASSERSTEIN, kantorovich_linear_value, lift_dist
-from behametric.lp import LinearProgram, solve_max
 from behametric.oracle import (
+    LinearProgram,
     kantorovich_vertex_oracle,
     lp_vertices,
+    solve_max,
     transportation_vertices,
     wasserstein_oracle,
 )
@@ -161,8 +162,9 @@ def _both_orientations(points, coeffs, d, bound):
 
 
 class TestKantorovichOrientation:
-    """One solve of the Kantorovich LP, in the orientation of the given
-    coefficients, gives the supremum of the absolute value."""
+    """The transport that computes the Kantorovich lifting gives the
+    supremum of the absolute value: the larger LP optimum of the two
+    orientations."""
 
     def test_dist_pairs_match_both_orientations(self):
         rng = random.Random(17)

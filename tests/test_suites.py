@@ -8,7 +8,8 @@ from behametric.suites import (
     random_prob_ts,
     run_suite,
 )
-from behametric.values import TOP_INF, TOP_ONE
+from behametric import lifting
+from behametric.values import TOP_INF, TOP_ONE, Value
 
 
 class TestGenerators:
@@ -40,6 +41,23 @@ class TestSuites:
         result = run_suite(name, seed=13, n=8)
         assert result.passed, result.summary()
         assert result.checked > 0
+
+    @pytest.mark.parametrize(
+        "name, labels", [("duality", {"dist"}), ("oracle", {"dist-w", "dist-k"})]
+    )
+    def test_referees_catch_a_wrong_transport(self, name, labels, monkeypatch):
+        # K and W share one transport at Dist, so only the independent
+        # referees can see it go wrong
+        solve = lifting.solve_transportation
+
+        def halved(inst):
+            value, plan = solve(inst)
+            return Value(value.mag / 2, value.bound), plan
+
+        monkeypatch.setattr(lifting, "solve_transportation", halved)
+        result = run_suite(name, seed=13, n=8)
+        assert not result.passed
+        assert {f[0] for f in result.failures} == labels
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
