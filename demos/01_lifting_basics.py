@@ -18,9 +18,9 @@ from behametric.values import TOP_ONE, Value
 d = PseudometricTable(
     ["a", "b", "c"],
     {
-        ("a", "b"): Value(F(1, 3), TOP_ONE),
-        ("b", "c"): Value(F(1, 3), TOP_ONE),
-        ("a", "c"): Value(F(2, 3), TOP_ONE),
+        ("a", "b"): Value(F(1, 3)),
+        ("b", "c"): Value(F(1, 3)),
+        ("a", "c"): Value(F(2, 3)),
     },
     TOP_ONE,
 )

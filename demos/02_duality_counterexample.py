@@ -20,7 +20,7 @@ from behametric import KANTOROVICH, WASSERSTEIN
 from behametric.values import TOP_INF, Value
 
 d = PseudometricTable(
-    ["x1", "x2"], {("x1", "x2"): Value(F(1), TOP_INF)}, TOP_INF
+    ["x1", "x2"], {("x1", "x2"): Value(F(1))}, TOP_INF
 )
 expr = DiagSquare(Id())
 t1, t2 = ("x1", "x2"), ("x2", "x1")

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .coalgebra import SchemaError, load_lift_instance, load_system, parse_weight
+from .coalgebra import load_lift_instance, load_system, parse_weight
 from .fixpoint import (
     IterationOptions,
     behavioral_distances,
@@ -18,28 +18,14 @@ from .fixpoint import (
     matrix_to_json,
     trace_to_csv,
 )
-from .functors import ShapeError
 from .lifting import KANTOROVICH, WASSERSTEIN, duality_gap, lift_dist
 from .suites import SUITES, run_suite
-from .values import ConfigurationError, NumericMode, Value, format_magnitude
+from .values import NumericMode, Value, format_magnitude
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2
 EXIT_UNCONVERGED = 3
-
-
-def _add_mode_flags(p):
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--exact", action="store_true", help="exact rational arithmetic")
-    g.add_argument(
-        "--float",
-        dest="float_tol",
-        metavar="TOL",
-        type=float,
-        default=None,
-        help="float mode with the given tolerance (default 1e-9)",
-    )
 
 
 def _mode_from(args) -> NumericMode:
@@ -59,7 +45,16 @@ def _add_system_flags(p):
     )
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--strict", action="store_true", help="exit 3 when unconverged")
-    _add_mode_flags(p)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--exact", action="store_true", help="exact rational arithmetic")
+    g.add_argument(
+        "--float",
+        dest="float_tol",
+        metavar="TOL",
+        type=float,
+        default=None,
+        help="float mode with the given tolerance (default 1e-9)",
+    )
 
 
 def build_parser():
@@ -85,7 +80,6 @@ def build_parser():
     p_lift.add_argument(
         "--both", action="store_true", help="print both methods and the gap"
     )
-    _add_mode_flags(p_lift)
 
     p_check = sub.add_parser("check", help="run property suites")
     p_check.add_argument(
@@ -187,10 +181,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (SchemaError, ShapeError, ConfigurationError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # SchemaError, ShapeError and ConfigurationError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

@@ -391,7 +391,7 @@ def table_from_json(doc, bound, path="space") -> PseudometricTable:
             raise SchemaError(f"{path}.d[{k}]", f"atoms must be strings, got {a!r}, {b!r}")
         mag = parse_rational_or_inf(raw, f"{path}.d[{k}]")
         try:
-            entries[(a, b)] = Value(mag, bound)
+            entries[(a, b)] = bound.check(Value(mag))
         except ConfigurationError as exc:
             raise SchemaError(f"{path}.d[{k}]", str(exc)) from exc
     try:

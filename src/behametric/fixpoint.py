@@ -19,12 +19,12 @@ from .coalgebra import ProbTS, System
 from .functors import PseudometricTable
 from .lifting import WASSERSTEIN, LiftingEngine
 from .values import (
+    ZERO,
     NumericMode,
     Value,
     dist_e,
     format_magnitude,
     rounding_slack,
-    zero,
 )
 
 
@@ -69,12 +69,12 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
     current = PseudometricTable(states, {}, bound, check=False)
     trace = [current] if opts.trace else []
     pairs = list(combinations(states, 2))
-    residual = zero(bound)
+    residual = ZERO
     converged = len(pairs) == 0
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         entries = {}
-        residual = zero(bound)
+        residual = ZERO
         for (a, b), v in zip(pairs, _lift_pairs(sys, current, opts.method, pairs)):
             prev = current.get(a, b)
             step = dist_e(v, prev)
@@ -83,11 +83,11 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
                     raise AssertionError(
                         f"iteration not monotone at ({a},{b}): {prev} -> {v}"
                     )
-                v, step = prev, zero(bound)
+                v, step = prev, ZERO
             if step > residual:
                 residual = step
             if not mode.is_exact:
-                v = _round_value(v, bound)
+                v = _round_value(v)
             entries[(a, b)] = v
         current = PseudometricTable(states, entries, bound)
         if opts.trace:
@@ -119,11 +119,11 @@ def _rounded_below(v: Value, prev: Value) -> bool:
     return dist_e(v, prev).as_float() <= rounding_slack(v.as_float())
 
 
-def _round_value(v: Value, bound) -> Value:
+def _round_value(v: Value) -> Value:
     """The nearest double of an exact entry: float mode stores doubles."""
     if isinstance(v.mag, float):
         return v
-    return Value(float(v.mag), bound)
+    return Value(float(v.mag))
 
 
 def verify_fixed_point(sys: System, m: DistanceMatrix, tol: float | None = None) -> bool:
@@ -136,7 +136,7 @@ def verify_fixed_point(sys: System, m: DistanceMatrix, tol: float | None = None)
         if sys.mode.is_exact:
             if v != prev and not (v < prev and _rounded_below(v, prev)):
                 return False
-        elif dist_e(_round_value(v, sys.top), prev).as_float() >= tol:
+        elif dist_e(_round_value(v), prev).as_float() >= tol:
             return False
     return True
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .values import (
+    ZERO,
     ConfigurationError,
     TopBound,
     Value,
@@ -23,8 +24,6 @@ from .values import (
     pth_root,
     rounding_slack,
     scale,
-    sup_fin,
-    zero,
 )
 
 
@@ -121,13 +120,14 @@ class PseudometricTable:
 
     Entries are dense rows by carrier position: ``_index`` maps an atom to
     its position and ``_rows[i][j]`` = ``_rows[j][i]`` (one shared Value) is
-    their distance.  The pseudometric axioms are validated on construction;
-    entries all live under one TopBound.  The triangle check compares
-    integers, the magnitudes scaled by the LCM of their denominators, unless
-    some are doubles (float-mode entries, irrational p-norm roots); flagged
-    triples are re-judged as Values, so verdicts and messages are those of
-    Value arithmetic.  A triple holding a double may miss by the gap of
-    rounding_slack(rhs) that rounding opens; exact triples are judged exactly.
+    their distance.  Every entry is checked against the table's TopBound
+    and the pseudometric axioms are validated on construction.  The
+    triangle check compares integers, the magnitudes scaled by the LCM of
+    their denominators, unless some are doubles (float-mode entries,
+    irrational p-norm roots); flagged triples are re-judged as Values, so
+    verdicts and messages are those of Value arithmetic.  A triple holding a
+    double may miss by the gap of rounding_slack(rhs) that rounding opens;
+    exact triples are judged exactly.
     """
 
     def __init__(self, carrier, entries, bound: TopBound, check: bool = True):
@@ -142,10 +142,7 @@ class PseudometricTable:
             i, j = self._index.get(a), self._index.get(b)
             if i is None or j is None:
                 raise ShapeError(f"unknown atom in entry ({a!r}, {b!r})")
-            if not isinstance(v, Value):
-                v = exact(v, bound)
-            if v.bound != bound:
-                raise ConfigurationError("table entry under a different bound")
+            v = bound.check(v if isinstance(v, Value) else exact(v))
             if rows[i][j] is not None and rows[i][j] != v:
                 key = (a, b) if a <= b else (b, a)
                 raise ShapeError(f"conflicting entries for {key}")
@@ -153,8 +150,7 @@ class PseudometricTable:
         for i, a in enumerate(self.carrier):
             if rows[i][i] is not None and not rows[i][i].is_zero:
                 raise ShapeError(f"nonzero diagonal at {a!r}")
-        z = zero(bound)
-        self._rows = [[z if v is None else v for v in row] for row in rows]
+        self._rows = [[ZERO if v is None else v for v in row] for row in rows]
         if check:
             self._check_triangle()
 
@@ -163,24 +159,20 @@ class PseudometricTable:
         as inf: int + inf raises once the scaled integers pass 2**1024).
         Only i < k is visited: (i, j, k) and (k, j, i) fail together, so the
         first failure is the first among all permutations."""
-        rows, n, limit = self._rows, len(self.carrier), self.bound.limit
+        rows, n = self._rows, len(self.carrier)
         finite = [v.mag for row in rows for v in row if not v.is_infinite]
         exact = all(isinstance(m, Fraction) for m in finite)
         lcm = math.lcm(*{m.denominator for m in finite}) if exact else 1
         conv = (lambda m: m.numerator * (lcm // m.denominator)) if exact else (lambda m: m)
         big = 4 * conv(max(finite, default=Fraction(0))) + 1
         mags = [[big if v.is_infinite else conv(v.mag) for v in row] for row in rows]
-        # add_ext clamps a sum past top to limit or float(limit): with doubles
-        # present, an entry above the lower of the two is always re-judged
-        low = None if exact or limit is None else min(limit, float(limit))
-        lhs = mags if low is None else [[big if m > low else m for m in row] for row in mags]
         for i in range(n):
-            li, ri = lhs[i], mags[i]
+            ri = mags[i]
             for j in range(n):
                 dij, rj = ri[j], mags[j]
                 for k in range(i + 1, n):
-                    if li[k] > dij + rj[k] and j != i and j != k:
-                        d_ik, rhs = rows[i][k], add_ext(rows[i][j], rows[j][k], clamp=True)
+                    if ri[k] > dij + rj[k] and j != i and j != k:
+                        d_ik, rhs = rows[i][k], add_ext(rows[i][j], rows[j][k])
                         if d_ik > rhs and (d_ik.is_exact and rhs.is_exact
                                            or d_ik.as_float() - rhs.as_float()
                                            > rounding_slack(rhs.as_float())):
@@ -400,14 +392,21 @@ def _validate(expr, carrier, t, path):
         raise ShapeError(f"unknown expression node {expr!r}", path)
 
 
-def combine_product(ev, v1: Value, v2: Value) -> Value:
+def combine_product(ev, v1: Value, v2: Value, bound: TopBound) -> Value:
     if isinstance(ev, MaxEval):
-        return sup_fin([v1, v2])
+        return max(v1, v2)
     if isinstance(ev, PNormEval):
+        # the p-th powers are not distances and may pass top; the root is at
+        # most top, since c1 + c2 <= 1 under a finite top, but an irrational
+        # root is a double that rounding may lift past float(top)
         radicand = add_ext(
             scale(pth_power(v1, ev.p), ev.c1), scale(pth_power(v2, ev.p), ev.c2)
         )
-        return pth_root(radicand, ev.p)
+        root = pth_root(radicand, ev.p)
+        if (bound.limit is not None and type(root.mag) is float
+                and root.mag > float(bound.limit)):
+            return Value(float(bound.limit))
+        return root
     raise ShapeError(f"unknown product evaluation {ev!r}")
 
 

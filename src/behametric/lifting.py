@@ -36,16 +36,14 @@ from .functors import (
 from .lp import TransportationInstance, solve_transportation
 from .values import (
     INF,
+    ZERO,
     ConfigurationError,
     TopBound,
     Value,
     add_ext,
     dist_e,
-    inf_fin,
     scale,
-    sup_fin,
     top,
-    zero,
 )
 
 KANTOROVICH = "kantorovich"
@@ -70,7 +68,7 @@ class LiftingEngine:
         self._memo = {}
 
     def dist(self, t1, t2) -> Value:
-        return self._lift(self.expr, t1, t2)
+        return self.bound.check(self._lift(self.expr, t1, t2))
 
     # -- recursion ----------------------------------------------------------
 
@@ -97,7 +95,7 @@ class LiftingEngine:
         if isinstance(expr, Product):
             v1 = self._lift(expr.left, t1[0], t2[0])
             v2 = self._lift(expr.right, t1[1], t2[1])
-            return combine_product(expr.eval, v1, v2)
+            return combine_product(expr.eval, v1, v2, self.bound)
         if isinstance(expr, FinPow):
             return self._hausdorff(expr.sub, t1, t2)
         if isinstance(expr, Dist):
@@ -110,14 +108,14 @@ class LiftingEngine:
         """max of the two directed max-min distances; the empty set is at
         distance 0 from itself and top from anything else."""
         if not s1 and not s2:
-            return zero(self.bound)
+            return ZERO
         if not s1 or not s2:
             return top(self.bound)
         xs2 = sorted_structs(s2)
         rows = [[self._lift(sub, a, b) for b in xs2] for a in sorted_structs(s1)]
-        d1 = sup_fin(inf_fin(row) for row in rows)
-        d2 = sup_fin(inf_fin(col) for col in zip(*rows))
-        return sup_fin([d1, d2])
+        d1 = max(min(row) for row in rows)
+        d2 = max(min(col) for col in zip(*rows))
+        return max(d1, d2)
 
     def _dist_node(self, sub, p1, p2) -> Value:
         # one transportation problem for both methods: the lifted ground
@@ -125,9 +123,7 @@ class LiftingEngine:
         # stays in place at zero cost and only the difference ships
         union = sorted_structs(set(p1.support()) | set(p2.support()))
         diff = [p1.prob(x) - p2.prob(x) for x in union]
-        return _ship(
-            diff, lambda i, j: self._lift(sub, union[i], union[j]), self.bound
-        )
+        return _ship(diff, lambda i, j: self._lift(sub, union[i], union[j]))
 
     def _diag_node(self, sub, t1, t2) -> Value:
         if self.method == WASSERSTEIN:
@@ -143,7 +139,7 @@ class LiftingEngine:
             for i, j in itertools.combinations(range(len(points)), 2)
             if coeffs[i] * coeffs[j] < 0
         }
-        return kantorovich_linear_value(ground, coeffs, self.bound)
+        return kantorovich_linear_value(ground, coeffs)
 
 
 def lift_dist(expr: FunctorExpr, d, method: str, t1, t2) -> Value:
@@ -165,7 +161,7 @@ def duality_gap(expr: FunctorExpr, d, t1, t2) -> Value:
 # the Kantorovich lifting of a linear functional, by transport
 
 
-def kantorovich_linear_value(ground, coeffs, bound: TopBound) -> Value:
+def kantorovich_linear_value(ground, coeffs) -> Value:
     """sup |sum coeffs[i] * f(i)| over f: points -> [0, top] nonexpansive
     w.r.t. the ground distances, a dict (i, j) -> Value for i < j that holds
     at least every pair of a positive and a negative coefficient.
@@ -181,16 +177,16 @@ def kantorovich_linear_value(ground, coeffs, bound: TopBound) -> Value:
     Wasserstein is what crossing saves.
     """
     assert sum(coeffs) == 0, "Kantorovich coefficients must sum to zero"
-    return _ship(coeffs, lambda i, j: ground[min(i, j), max(i, j)], bound)
+    return _ship(coeffs, lambda i, j: ground[min(i, j), max(i, j)])
 
 
-def _ship(weights, cost, bound: TopBound) -> Value:
+def _ship(weights, cost) -> Value:
     """Cheapest transport of the positive weights onto the negative ones,
     at cost(i, j) per unit from i to j."""
     sources = [i for i, w in enumerate(weights) if w > 0]
     sinks = [j for j, w in enumerate(weights) if w < 0]
     if not sources:
-        return zero(bound)
+        return ZERO
     value, _ = solve_transportation(TransportationInstance(
         [weights[i] for i in sources],
         [-weights[j] for j in sinks],
@@ -217,13 +213,10 @@ class WellBehavedReport:
         return self.condition1_ok and self.condition2_ok and self.condition3_ok
 
 
-def _ev_set(name, vs, bound):
+def _ev_set(name, vs):
     """max (the shipped evaluation) or min (the known bad one); both send
     the empty set to 0 so that condition 3 isolates the {0,1} failure."""
-    vs = list(vs)
-    if not vs:
-        return zero(bound)
-    return sup_fin(vs) if name == "max" else inf_fin(vs)
+    return (max if name == "max" else min)(vs, default=ZERO)
 
 
 def value_grid(bound: TopBound):
@@ -234,7 +227,7 @@ def value_grid(bound: TopBound):
     else:
         t = bound.limit
         mags = [Fraction(0), t / 4, t / 2, 3 * t / 4, t]
-    return [Value(m, bound) for m in mags]
+    return [Value(m) for m in mags]
 
 
 def check_well_behaved(
@@ -251,7 +244,7 @@ def check_well_behaved(
     rng = random.Random(seed)
     grid = value_grid(bound)
     gzero, gtop = grid[0], grid[-1]
-    ev = lambda vs: _ev_set(eval_name, vs, bound)
+    ev = lambda vs: _ev_set(eval_name, vs)
     witnesses = {1: [], 2: [], 3: []}
 
     def rand_subset(pool, allow_empty=True):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .values import INF, TopBound, Value, ensure_compatible
+from .values import INF, Value
 
 ZERO = Fraction(0)
 
@@ -42,17 +42,6 @@ class TransportationInstance:
             len(row) != len(self.demand) for row in self.cost
         ):
             raise ValueError("cost matrix shape mismatch")
-        b = None
-        for row in self.cost:
-            for v in row:
-                if b is None:
-                    b = v
-                else:
-                    ensure_compatible(b, v)
-
-    @property
-    def bound(self) -> TopBound:
-        return self.cost[0][0].bound
 
 
 def solve_transportation(inst: TransportationInstance):
@@ -64,15 +53,14 @@ def solve_transportation(inst: TransportationInstance):
     a double.
     """
     m, n = len(inst.supply), len(inst.demand)
-    bound = inst.bound
     # a cell costs the pair (forbidden, finite cost), ordered
     # lexicographically: an exact big-M that uses a forbidden cell only when
     # no plan avoids them all
     big = [[1 if v.is_infinite else 0 for v in row] for row in inst.cost]
     if all(all(row) for row in big):
         if all(s == 0 for s in inst.supply):
-            return Value(Fraction(0), bound), [[ZERO] * n for _ in range(m)]
-        return Value(INF, bound), None
+            return Value(ZERO), [[ZERO] * n for _ in range(m)]
+        return Value(INF), None
     small = [
         [ZERO if v.is_infinite else v.as_fraction() for v in row]
         for row in inst.cost
@@ -89,9 +77,9 @@ def solve_transportation(inst: TransportationInstance):
         for j in rows[i]:
             if plan[i][j]:
                 if big[i][j]:
-                    return Value(INF, bound), None
+                    return Value(INF), None
                 total += plan[i][j] * small[i][j]
-    return Value(float(total) if inexact else total, bound), plan
+    return Value(float(total) if inexact else total), plan
 
 
 def _north_west_corner(supply, demand):

@@ -26,7 +26,7 @@ from .functors import (
     sorted_structs,
 )
 from .lifting import lift_dist
-from .values import INF, Value, add_ext, inf_fin, scale, sup_fin, top, zero
+from .values import INF, Value, add_ext, scale, top
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,19 +48,18 @@ def _ground_fn(sub, d):
 def wasserstein_oracle(expr, d, t1, t2) -> Value:
     """Exact minimum of the evaluated distance over every coupling,
     enumerated exhaustively; top of the bound when no coupling exists."""
-    bound = d.bound
     if isinstance(expr, FinPow):
         ground = _ground_fn(expr.sub, d)
         couplings = enumerate_couplings_finpow(t1, t2)
         if not couplings:
-            return top(bound)
+            return top(d.bound)
         values = []
         for cpl in couplings:
             if cpl:
-                values.append(sup_fin(ground(a, b) for a, b in sorted_structs(cpl)))
+                values.append(max(ground(a, b) for a, b in sorted_structs(cpl)))
             else:
-                values.append(zero(bound))
-        return inf_fin(values)
+                values.append(Value(ZERO))
+        return min(values)
     if isinstance(expr, DiagSquare):
         ground = _ground_fn(expr.sub, d)
         ((a1, b1), (a2, b2)), = enumerate_couplings_diagsquare(t1, t2)
@@ -74,7 +73,7 @@ def wasserstein_oracle(expr, d, t1, t2) -> Value:
         demand = [t2.prob(x) for x in points]
         best = None
         for plan in transportation_vertices(supply, demand):
-            val = zero(bound)
+            val = Value(ZERO)
             for i, a in enumerate(points):
                 for j, b in enumerate(points):
                     w = plan[i][j]

@@ -1,15 +1,19 @@
-"""Value domain [0, top] with extended arithmetic.
+"""Magnitudes of distances, and the top bound that limits them.
 
-Distances live in a closed interval [0, top] where top is either a finite
-positive rational or infinity.  Finite exact magnitudes are Fractions; a
-finite float is a double, whatever the mode: float mode stores its entries
-as doubles, and in exact mode only an irrational p-norm root makes one.
-Infinity is the float ``math.inf``: Python orders it above every
-Fraction, and it absorbs under + and under * by a positive scale; the one
-undefined case, inf - inf, is handled in ``dist_e``.  A Fraction meeting a
-float is converted to a float first, which overflows past ~1.8e308 and
-makes a factor below ~1e-308 zero (inf * 0.0 is nan), so ``add_ext``,
-``dist_e`` and ``scale`` keep inf out of that arithmetic.
+A distance is a magnitude in [0, top], where top is either a finite
+positive rational or infinity.  A ``Value`` is the magnitude alone: the
+numbers computed on the way to a distance are not all distances (the p-th
+powers inside a p-norm product may pass top), so the bound is kept once,
+on the table, the engine and the system, and ``TopBound.check`` holds a
+distance to it where one is stored or returned.  Finite exact magnitudes
+are Fractions; a finite float is a double, whatever the mode: float mode
+stores its entries as doubles, and in exact mode only an irrational p-norm
+root makes one.  Infinity is the float ``math.inf``: Python orders it
+above every Fraction, and it absorbs under + and under * by a positive
+scale; the one undefined case, inf - inf, is handled in ``dist_e``.  A
+Fraction meeting a float is converted to a float first, which overflows
+past ~1.8e308 and makes a factor below ~1e-308 zero (inf * 0.0 is nan), so
+``add_ext``, ``dist_e`` and ``scale`` keep inf out of that arithmetic.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 
 class ConfigurationError(ValueError):
-    """Raised when values under different bounds or modes are combined."""
+    """Raised on a distance outside [0, top] or an invalid setting."""
 
 
 INF = math.inf
@@ -50,6 +54,19 @@ class TopBound:
     @property
     def is_infinite(self) -> bool:
         return self.limit is None
+
+    def check(self, v: "Value") -> "Value":
+        """v, if it is a distance under this bound; else ConfigurationError.
+        Called where a distance is stored (PseudometricTable) or returned
+        (LiftingEngine.dist).  A double may reach float(limit), the double
+        that stands for the limit."""
+        if self.limit is not None:
+            if v.is_infinite:
+                raise ConfigurationError("infinite value under a finite bound")
+            m = v.mag
+            if m > (self.limit if isinstance(m, Fraction) else float(self.limit)):
+                raise ConfigurationError(f"value {m} exceeds top {self.limit}")
+        return v
 
     def __repr__(self):
         return "TopBound(inf)" if self.is_infinite else f"TopBound({self.limit})"
@@ -90,7 +107,7 @@ EXACT = NumericMode.exact()
 
 @dataclass(frozen=True)
 class Value:
-    """An element of [0, top].
+    """A nonnegative magnitude, with no bound of its own.
 
     ``mag`` is a Fraction (exact), INF, or a finite float.  A finite float
     is a double (a float-mode entry or an irrational p-th root), flags the
@@ -99,24 +116,13 @@ class Value:
     """
 
     mag: Magnitude
-    bound: TopBound
 
     def __post_init__(self):
         m = self.mag
-        if isinstance(m, Fraction):
-            if m < 0:
-                raise ConfigurationError(f"negative value {m}")
-            if self.bound.limit is not None and m > self.bound.limit:
-                raise ConfigurationError(f"value {m} exceeds top {self.bound.limit}")
-        elif isinstance(m, float):
-            if m == INF and not self.bound.is_infinite:
-                # checked before the clamp, which would turn inf into top
-                raise ConfigurationError("infinite value under a finite bound")
-            # inexact magnitudes get clamped into range instead of rejected
-            lo, hi = 0.0, INF if self.bound.is_infinite else float(self.bound.limit)
-            object.__setattr__(self, "mag", min(max(m, lo), hi))
-        else:
+        if not isinstance(m, (Fraction, float)):
             raise ConfigurationError(f"bad magnitude {m!r}")
+        if m < 0:
+            raise ConfigurationError(f"negative value {m}")
 
     # -- predicates ---------------------------------------------------------
 
@@ -146,55 +152,42 @@ class Value:
     # -- ordering (a > b and a >= b fall back to b < a and b <= a) -----------
 
     def __lt__(self, other: "Value") -> bool:
-        ensure_compatible(self, other)
         return self.mag < other.mag
 
     def __le__(self, other: "Value") -> bool:
-        ensure_compatible(self, other)
         return self.mag <= other.mag
 
     def __repr__(self):
         return f"Value({format_magnitude(self.mag)})"
 
 
-def ensure_compatible(a: Value, b: Value) -> None:
-    if a.bound is not b.bound and a.bound != b.bound:
-        raise ConfigurationError(f"mixed bounds: {a.bound} vs {b.bound}")
-
-
-def zero(bound: TopBound) -> Value:
-    return Value(Fraction(0), bound)
+ZERO = Value(Fraction(0))
 
 
 def top(bound: TopBound) -> Value:
-    return Value(INF if bound.is_infinite else bound.limit, bound)
+    return Value(INF if bound.is_infinite else bound.limit)
 
 
-def exact(q, bound: TopBound) -> Value:
+def exact(q) -> Value:
     """Build an exact value from anything Fraction accepts, or INF."""
-    return Value(q if q == INF else Fraction(q), bound)
+    return Value(q if q == INF else Fraction(q))
 
 
 def dist_e(a: Value, b: Value) -> Value:
-    """Euclidean distance on [0, top], with d(x, inf) = inf for x != inf
+    """Euclidean distance on [0, inf], with d(x, inf) = inf for x != inf
     and d(inf, inf) = 0."""
-    ensure_compatible(a, b)
     if a.mag == b.mag:
-        return zero(a.bound)
+        return ZERO
     if a.is_infinite or b.is_infinite:
-        return Value(INF, a.bound)
-    return Value(abs(a.mag - b.mag), a.bound)
+        return Value(INF)
+    return Value(abs(a.mag - b.mag))
 
 
-def add_ext(a: Value, b: Value, clamp: bool = False) -> Value:
-    """Extended addition: x + inf = inf.  Clamping to top is opt-in; the
-    lifting formulas stay within [0, top] by construction, so a clamp here
-    would only mask bugs."""
-    ensure_compatible(a, b)
-    m = INF if a.is_infinite or b.is_infinite else a.mag + b.mag
-    if clamp and a.bound.limit is not None and m > a.bound.limit:
-        m = a.bound.limit if isinstance(m, Fraction) else float(a.bound.limit)
-    return Value(m, a.bound)
+def add_ext(a: Value, b: Value) -> Value:
+    """Extended addition: x + inf = inf.  The sum is no distance and may
+    pass top; set against a stored distance, which is at most top, it gives
+    the triangle verdict that the sum clamped to top would give."""
+    return Value(INF if a.is_infinite or b.is_infinite else a.mag + b.mag)
 
 
 def scale(v: Value, c: Fraction) -> Value:
@@ -204,23 +197,7 @@ def scale(v: Value, c: Fraction) -> Value:
         raise ConfigurationError("scale factor must be positive")
     if c == 1 or v.is_infinite:
         return v
-    return Value(v.mag * c, v.bound)
-
-
-def sup_fin(vs: Iterable[Value]) -> Value:
-    """The first greatest value."""
-    out = max(vs, default=None)
-    if out is None:
-        raise ConfigurationError("sup of an empty sequence")
-    return out
-
-
-def inf_fin(vs: Iterable[Value]) -> Value:
-    """The first least value."""
-    out = min(vs, default=None)
-    if out is None:
-        raise ConfigurationError("inf of an empty sequence")
-    return out
+    return Value(v.mag * c)
 
 
 def _int_nth_root(n: int, p: int) -> int | None:
@@ -245,15 +222,15 @@ def pth_root(v: Value, p: int) -> Value:
     if p == 1:
         return v
     if isinstance(v.mag, float):
-        return Value(v.mag ** (1.0 / p), v.bound)
+        return Value(v.mag ** (1.0 / p))
     num = _int_nth_root(v.mag.numerator, p)
     den = _int_nth_root(v.mag.denominator, p)
     if num is not None and den is not None:
-        return Value(Fraction(num, den), v.bound)
+        return Value(Fraction(num, den))
     # logs of the ints: float(v.mag) overflows once either passes ~1e308
     log_mag = math.log(v.mag.numerator) - math.log(v.mag.denominator)
     try:
-        return Value(math.exp(log_mag / p), v.bound)
+        return Value(math.exp(log_mag / p))
     except OverflowError:
         raise ConfigurationError(
             f"irrational {p}-th root of a {v.mag.numerator.bit_length()}-bit "
@@ -262,7 +239,7 @@ def pth_root(v: Value, p: int) -> Value:
 
 
 def pth_power(v: Value, p: int) -> Value:
-    return Value(v.mag**p, v.bound)
+    return Value(v.mag**p)
 
 
 def rounding_slack(x: float) -> float:

@@ -34,7 +34,7 @@ from behametric.suites import (
     suite_k_le_w,
     suite_oracle,
 )
-from behametric.values import NumericMode, TOP_INF, TOP_ONE, Value, top, zero
+from behametric.values import NumericMode, TOP_INF, TOP_ONE, ZERO, Value, top
 
 
 def report(num, name):
@@ -74,8 +74,8 @@ def test_criterion_1_probabilistic_example():
     m = behavioral_distances(from_prob_ts(p))
     elapsed = time.monotonic() - start
     assert m.converged
-    assert m.get("u", "z") == Value(F(1), TOP_ONE)
-    assert m.get("x", "y") == Value(F(9, 200), TOP_ONE)
+    assert m.get("u", "z") == Value(F(1))
+    assert m.get("x", "y") == Value(F(9, 200))
     for a, b in itertools.combinations(p.states, 2):
         assert not m.get(a, b).is_infinite
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -86,7 +86,7 @@ def test_criterion_2_metric_ts_example():
     start = time.monotonic()
     vals = {"0": F(0), "2/5": F(2, 5), "7/10": F(7, 10), "1/2": F(1, 2), "1": F(1)}
     entries = {
-        (a, b): Value(abs(va - vb), TOP_INF)
+        (a, b): Value(abs(va - vb))
         for (a, va), (b, vb) in itertools.combinations(vals.items(), 2)
     }
     m_ts = MetricTS(
@@ -104,19 +104,19 @@ def test_criterion_2_metric_ts_example():
     m = behavioral_distances(from_metric_ts(m_ts))
     elapsed = time.monotonic() - start
     assert m.converged and m.iterations <= 4
-    assert m.get("x1", "y1") == Value(F(3, 10), TOP_INF)
+    assert m.get("x1", "y1") == Value(F(3, 10))
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     report(2, "metric TS example d(x1,y1)=3/10 in <=4 iterations under 1s")
 
 
 def test_criterion_3_duality_counterexample():
     d = PseudometricTable(
-        ["x1", "x2"], {("x1", "x2"): Value(F(1), TOP_INF)}, TOP_INF
+        ["x1", "x2"], {("x1", "x2"): Value(F(1))}, TOP_INF
     )
     expr = DiagSquare(Id())
     t1, t2 = ("x1", "x2"), ("x2", "x1")
-    assert lift_dist(expr, d, KANTOROVICH, t1, t2) == zero(TOP_INF)
-    assert lift_dist(expr, d, WASSERSTEIN, t1, t2) == Value(F(2), TOP_INF)
+    assert lift_dist(expr, d, KANTOROVICH, t1, t2) == ZERO
+    assert lift_dist(expr, d, WASSERSTEIN, t1, t2) == Value(F(2))
     report(3, "diagonal square: kantorovich 0, wasserstein 2")
 
 
@@ -176,7 +176,7 @@ def test_criterion_8_well_behavedness_witnesses():
         assert check_well_behaved("max", bound, seed=45).all_ok
     rep = check_well_behaved("min", TOP_ONE, seed=45)
     assert not rep.condition2_ok and not rep.condition3_ok
-    gzero, gtop = zero(TOP_ONE), top(TOP_ONE)
+    gzero, gtop = ZERO, top(TOP_ONE)
     assert frozenset({(gzero, gtop), (gtop, gtop)}) in rep.witnesses[2]
     assert frozenset({gzero, gtop}) in rep.witnesses[3]
     report(8, "max well-behaved; min fails 2 and 3 with the known witnesses")

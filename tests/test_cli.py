@@ -99,6 +99,22 @@ class TestDist:
         assert code == 0 and err == ""
         assert out.splitlines()[3] == "s2,5/8,5/8,0,5/12"
 
+    @pytest.mark.parametrize(
+        "mode, csv",
+        [
+            (["--exact"], "u,0,19/10,2,2\nv,19/10,0,2,2\nx,2,2,0,19/10\ny,2,2,19/10,0\n"),
+            (["--float", "1e-9"],
+             "u,0.0,1.9,2.0,2.0\nv,1.9,0.0,2.0,2.0\nx,2.0,2.0,0.0,1.9\ny,2.0,2.0,1.9,0.0\n"),
+        ],
+        ids=["exact", "float"],
+    )
+    def test_pnorm_powers_may_pass_a_finite_top(self, capsys, mode, csv):
+        # top = 2: d(u, v) is the p-norm of (19/10, 19/10), whose squares
+        # 361/100 pass top while the root does not
+        code, out, err = run(capsys, "dist", str(DATA / "pnorm_top2.json"), *mode)
+        assert code == 0 and err == ""
+        assert out == "state,u,v,x,y\n" + csv
+
 
 class TestLift:
     def test_counterexample_both(self, capsys):
@@ -114,6 +130,27 @@ class TestLift:
             "--method", "kantorovich",
         )
         assert code == 0 and out.strip() == "kantorovich 0"
+
+    def test_pnorm_powers_may_pass_a_finite_top(self, capsys, tmp_path):
+        doc = tmp_path / "lift.json"
+        doc.write_text(json.dumps({
+            "top": "2",
+            "space": {"carrier": ["a", "b"], "d": [["a", "b", "19/10"]]},
+            "expr": {"product": {"left": "id", "right": "id",
+                                 "eval": {"pnorm": {"p": 2, "c1": "1/2", "c2": "1/2"}}}},
+            "t1": {"pair": ["a", "a"]},
+            "t2": {"pair": ["b", "b"]},
+        }))
+        code, out, err = run(capsys, "lift", str(doc))
+        assert code == 0 and err == "" and out == "wasserstein 19/10\n"
+
+    @pytest.mark.parametrize("flag", [["--exact"], ["--float", "1e-9"]])
+    def test_mode_flags_rejected(self, capsys, flag):
+        # a lift is exact in every mode, so lift takes no mode flag
+        with pytest.raises(SystemExit) as exc:
+            main(["lift", str(DATA / "counterexample.json"), *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestCheck:

@@ -185,14 +185,14 @@ class TestProbTs:
 class TestMetricTs:
     def test_valuation_atoms_checked(self):
         table = PseudometricTable(
-            ["p", "q"], {("p", "q"): Value(F(1), TOP_INF)}, TOP_INF
+            ["p", "q"], {("p", "q"): Value(F(1))}, TOP_INF
         )
         with pytest.raises(SchemaError):
             MetricTS(("s",), [("r", table)], {"s": {"r": "nope"}}, {"s": frozenset()})
 
     def test_compiles_and_validates(self):
         table = PseudometricTable(
-            ["p", "q"], {("p", "q"): Value(F(1), TOP_INF)}, TOP_INF
+            ["p", "q"], {("p", "q"): Value(F(1))}, TOP_INF
         )
         m = MetricTS(
             ("s", "t"),
@@ -205,8 +205,8 @@ class TestMetricTs:
         assert sys_.alpha["s"] == ("p", frozenset({"t"}))
 
     def test_two_propositions_nest(self):
-        t1 = PseudometricTable(["p", "q"], {("p", "q"): Value(F(1), TOP_INF)}, TOP_INF)
-        t2 = PseudometricTable(["m", "n"], {("m", "n"): Value(F(2), TOP_INF)}, TOP_INF)
+        t1 = PseudometricTable(["p", "q"], {("p", "q"): Value(F(1))}, TOP_INF)
+        t2 = PseudometricTable(["m", "n"], {("m", "n"): Value(F(2))}, TOP_INF)
         m = MetricTS(
             ("s",),
             [("r1", t1), ("r2", t2)],
@@ -233,6 +233,26 @@ class TestLoadSystem:
         with pytest.raises(SchemaError) as err:
             load_system(doc, eps=F(1, 20))
         assert "x" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "top, raw, message",
+        [
+            ("2", "3", "value 3 exceeds top 2"),
+            ("2", "-1/2", "negative value -1/2"),
+            ("2", "inf", "infinite value under a finite bound"),
+            ("inf", "-1/2", "negative value -1/2"),
+        ],
+    )
+    def test_table_entry_outside_top_names_its_row(self, top, raw, message):
+        doc = {
+            "kind": "system", "top": top,
+            "spaces": {"k": {"carrier": ["a", "b", "c"], "d": [["a", "b", "1"], ["b", "c", raw]]}},
+            "expr": {"const": "k"}, "states": ["s"], "alpha": {"s": "a"},
+        }
+        with pytest.raises(SchemaError) as err:
+            load_system(doc)
+        assert err.value.path == "spaces.k.d[1]"
+        assert str(err.value) == f"spaces.k.d[1]: {message}"
 
     @pytest.mark.parametrize(
         "field, value, path",
@@ -311,7 +331,7 @@ class TestRoundTrip:
 
     def test_metric_ts_round_trip(self):
         table = PseudometricTable(
-            ["p", "q"], {("p", "q"): Value(INF, TOP_INF)}, TOP_INF
+            ["p", "q"], {("p", "q"): Value(INF)}, TOP_INF
         )
         m = MetricTS(
             ("s", "t"),
@@ -339,7 +359,7 @@ class TestLiftInstance:
         }
         inst = load_lift_instance(doc)
         assert inst.t1 == ("x1", "x2")
-        assert inst.space.get("x1", "x2") == Value(F(1), TOP_INF)
+        assert inst.space.get("x1", "x2") == Value(F(1))
 
     def test_non_object_document(self):
         with pytest.raises(SchemaError) as err:

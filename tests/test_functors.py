@@ -80,9 +80,9 @@ class TestPseudometricTable:
             PseudometricTable(
                 ["a", "b", "c"],
                 {
-                    ("a", "b"): Value(F(1), TOP_INF),
-                    ("b", "c"): Value(F(1), TOP_INF),
-                    ("a", "c"): Value(F(3), TOP_INF),
+                    ("a", "b"): Value(F(1)),
+                    ("b", "c"): Value(F(1)),
+                    ("a", "c"): Value(F(3)),
                 },
                 TOP_INF,
             )
@@ -90,7 +90,7 @@ class TestPseudometricTable:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ShapeError, match=r"^nonzero diagonal at 'a'$"):
             PseudometricTable(
-                ["a"], {("a", "a"): Value(F(1, 2), TOP_ONE)}, TOP_ONE
+                ["a"], {("a", "a"): Value(F(1, 2))}, TOP_ONE
             )
 
     @pytest.mark.parametrize(
@@ -106,12 +106,17 @@ class TestPseudometricTable:
             (lambda: PseudometricTable(
                 ["a", "b"], {("a", "b"): F(1, 2), ("b", "b"): F(1, 4)}, TOP_ONE),
              ShapeError, "nonzero diagonal at 'b'"),
-            (lambda: PseudometricTable(["a", "b"], {("a", "b"): Value(F(1), TOP_INF)}, TOP_ONE),
-             ConfigurationError, "table entry under a different bound"),
+            (lambda: PseudometricTable(["a", "b"], {("a", "b"): F(2)}, TOP_ONE),
+             ConfigurationError, "value 2 exceeds top 1"),
+            (lambda: PseudometricTable(["a", "b"], {("a", "b"): Value(1.5)}, TOP_ONE),
+             ConfigurationError, "value 1.5 exceeds top 1"),
+            (lambda: PseudometricTable(["a", "b"], {("a", "b"): INF}, TOP_ONE),
+             ConfigurationError, "infinite value under a finite bound"),
             (lambda: PseudometricTable(["a", "b"], {}, TOP_ONE, check=False).get("a", "z"),
              ShapeError, "atoms 'a', 'z' not in carrier"),
         ],
-        ids=["duplicate", "unknown-atom", "conflict", "diagonal", "bound", "get-unknown"],
+        ids=["duplicate", "unknown-atom", "conflict", "diagonal", "above-top",
+             "float-top", "inf-top", "get-unknown"],
     )
     def test_construction_errors_keep_type_and_message(self, build, error, message):
         with pytest.raises(error) as err:
@@ -120,31 +125,36 @@ class TestPseudometricTable:
 
     def test_equal_repeated_entries_accepted(self):
         t = PseudometricTable(
-            ["a", "b"], {("a", "b"): F(1, 2), ("b", "a"): Value(F(1, 2), TOP_ONE)}, TOP_ONE
+            ["a", "b"], {("a", "b"): F(1, 2), ("b", "a"): Value(F(1, 2))}, TOP_ONE
         )
-        assert t.get("b", "a") == Value(F(1, 2), TOP_ONE)
+        assert t.get("b", "a") == Value(F(1, 2))
 
     def test_symmetric_lookup(self):
         t = PseudometricTable(
-            ["a", "b"], {("b", "a"): Value(F(1, 3), TOP_ONE)}, TOP_ONE
+            ["a", "b"], {("b", "a"): Value(F(1, 3))}, TOP_ONE
         )
-        assert t.get("a", "b") == t.get("b", "a") == Value(F(1, 3), TOP_ONE)
+        assert t.get("a", "b") == t.get("b", "a") == Value(F(1, 3))
 
     def test_infinite_entries_allowed_under_inf_top(self):
         from behametric.values import INF
 
         t = PseudometricTable(
-            ["a", "b"], {("a", "b"): Value(INF, TOP_INF)}, TOP_INF
+            ["a", "b"], {("a", "b"): Value(INF)}, TOP_INF
         )
         assert t.get("a", "b").is_infinite
 
 
 def oracle_check_triangle(table):
     """Reference: every permutation of three atoms, compared as Values; a
-    miss within rounding_slack(rhs) is forgiven when a side is a double."""
+    miss within rounding_slack(rhs) is forgiven when a side is a double.
+    The sum is clamped to top, or to float(top) when it is a double: the
+    entries are at most top, so the clamp must change no verdict."""
+    limit = table.bound.limit
     for a, b, c in itertools.permutations(table.carrier, 3):
         lhs = table.get(a, c)
-        rhs = add_ext(table.get(a, b), table.get(b, c), clamp=True)
+        rhs = add_ext(table.get(a, b), table.get(b, c))
+        if limit is not None and rhs.mag > limit:
+            rhs = Value(limit if isinstance(rhs.mag, F) else float(limit))
         if lhs > rhs:
             if not (lhs.is_exact and rhs.is_exact):
                 if lhs.as_float() - rhs.as_float() <= rounding_slack(rhs.as_float()):
@@ -190,7 +200,7 @@ def random_entries(rng, carrier, bound):
     for key in rng.sample(sorted(entries), rng.randint(0, 2)):
         if entries[key] is not INF:
             entries[key] = float(entries[key])  # an inexact magnitude
-    return {key: Value(m if m is INF or isinstance(m, float) else F(m), bound)
+    return {key: Value(m if m is INF or isinstance(m, float) else F(m))
             for key, m in entries.items()}
 
 
@@ -226,15 +236,15 @@ class TestTriangleCheckAgainstOracle:
             entries = {}
             for a, b in itertools.combinations(carrier, 2):
                 if cluster[a] != cluster[b]:
-                    entries[a, b] = Value(INF, TOP_INF)
+                    entries[a, b] = Value(INF)
                     continue
                 m = abs(where[a] - where[b])
                 m += rng.choice([0, 0, 0, -2, -1, 1, 2, 3]) * math.ulp(m)
-                entries[a, b] = Value(m, TOP_INF)
+                entries[a, b] = Value(m)
             oracle, new = triangle_verdicts(carrier, entries, TOP_INF)
             assert new == oracle, (carrier, entries)
             as_fractions = {
-                k: v if v.is_infinite else Value(F(v.mag), TOP_INF) for k, v in entries.items()
+                k: v if v.is_infinite else Value(F(v.mag)) for k, v in entries.items()
             }
             strict, _ = triangle_verdicts(carrier, as_fractions, TOP_INF)
             seen.add((new is None, strict is None))
@@ -242,7 +252,7 @@ class TestTriangleCheckAgainstOracle:
         assert seen >= {(False, False), (True, True), (True, False)}
 
     def test_top_rounding_cases(self):
-        # a double of the top and a sum clamped to a double of the top
+        # a double of the top, and a sum past top beside a double of it
         for bound in TOPS[1:3]:
             top = bound.limit
             for lhs, ab, bc in [
@@ -252,9 +262,9 @@ class TestTriangleCheckAgainstOracle:
                 (top, top / 2, float(top) / 2),
             ]:
                 entries = {
-                    ("a", "c"): Value(lhs, bound),
-                    ("a", "b"): Value(ab, bound),
-                    ("b", "c"): Value(bc, bound),
+                    ("a", "c"): Value(lhs),
+                    ("a", "b"): Value(ab),
+                    ("b", "c"): Value(bc),
                 }
                 oracle, new = triangle_verdicts(["a", "b", "c"], entries, bound)
                 assert new == oracle
@@ -263,11 +273,11 @@ class TestTriangleCheckAgainstOracle:
     def test_float_mode_slack_edges(self, excess, accepted):
         # float-mode tables hold doubles; the slack next to 0.3 is 1e-12
         mags = {("a", "b"): 0.1, ("b", "c"): 0.2, ("a", "c"): float(F(0.1) + F(0.2) + excess)}
-        entries = {k: Value(m, TOP_ONE) for k, m in mags.items()}
+        entries = {k: Value(m) for k, m in mags.items()}
         oracle, new = triangle_verdicts(["a", "b", "c"], entries, TOP_ONE)
         assert new == oracle and (new is None) == accepted
         # the same magnitudes as Fractions are judged exactly
-        entries = {k: Value(F(m), TOP_ONE) for k, m in mags.items()}
+        entries = {k: Value(F(m)) for k, m in mags.items()}
         oracle, new = triangle_verdicts(["a", "b", "c"], entries, TOP_ONE)
         assert new == oracle and new.startswith("triangle inequality fails: d(a,c)=")
 
@@ -278,7 +288,7 @@ class TestTriangleCheckAgainstOracle:
         rhs = ab + bc
         ac = rhs + ulps * math.ulp(rhs)
         entries = {("a", "b"): ab, ("b", "c"): bc, ("a", "c"): ac}
-        entries = {k: Value(v, TOP_INF) for k, v in entries.items()}
+        entries = {k: Value(v) for k, v in entries.items()}
         try:
             PseudometricTable(["a", "b", "c"], entries, TOP_INF)
         except ShapeError:
@@ -288,7 +298,7 @@ class TestTriangleCheckAgainstOracle:
 
     def test_scaled_entries_past_the_float_range_beside_inf(self):
         # the integer-scaled check must not add an int past 2**1024 to inf
-        inf, huge = Value(INF, TOP_INF), Value(F(10**400), TOP_INF)
+        inf, huge = Value(INF), Value(F(10**400))
         table = PseudometricTable(
             ["a", "b", "c"], {("a", "b"): huge, ("a", "c"): inf, ("b", "c"): inf}, TOP_INF
         )
@@ -299,7 +309,7 @@ class TestTriangleCheckAgainstOracle:
             )
 
     def test_infinite_entries(self):
-        inf, one = Value(INF, TOP_INF), Value(F(1), TOP_INF)
+        inf, one = Value(INF), Value(F(1))
         for entries in [
             {("a", "b"): one, ("b", "c"): one, ("a", "c"): inf},
             {("a", "b"): inf, ("b", "c"): one, ("a", "c"): inf},

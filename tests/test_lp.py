@@ -11,7 +11,7 @@ from behametric.oracle import (
     solve_max,
     transportation_vertices,
 )
-from behametric.values import INF, TOP_INF, TOP_ONE, Value, zero
+from behametric.values import INF, Value
 
 
 def _box(n, hi):
@@ -96,15 +96,15 @@ class TestSolveMax:
                 assert sum(c * x for c, x in zip(coeffs, witness)) <= rhs
 
 
-def _cost(mags, bound=TOP_ONE):
-    return [[Value(INF, bound) if m == "inf" else Value(F(m), bound) for m in row] for row in mags]
+def _cost(mags):
+    return [[Value(INF) if m == "inf" else Value(F(m)) for m in row] for row in mags]
 
 
 class TestTransportation:
     def test_single_point(self):
         inst = TransportationInstance([F(1)], [F(1)], _cost([["1/2"]]))
         value, plan = solve_transportation(inst)
-        assert value.is_zero is False and value == Value(F(1, 2), TOP_ONE)
+        assert value.is_zero is False and value == Value(F(1, 2))
         assert plan == [[F(1)]]
 
     def test_identical_marginals_zero(self):
@@ -125,14 +125,14 @@ class TestTransportation:
             _cost([[0, "9/10"], ["9/10", 0]]),
         )
         value, plan = solve_transportation(inst)
-        assert value == Value(F(9, 200), TOP_ONE)
+        assert value == Value(F(9, 200))
         # plan is a feasible coupling
         assert [sum(row) for row in plan] == inst.supply
         assert [sum(col) for col in zip(*plan)] == inst.demand
 
     def test_forbidden_cells_infeasible(self):
         inst = TransportationInstance(
-            [F(1)], [F(1)], [[Value(INF, TOP_INF)]]
+            [F(1)], [F(1)], [[Value(INF)]]
         )
         value, plan = solve_transportation(inst)
         assert value.is_infinite and plan is None
@@ -151,7 +151,7 @@ class TestTransportation:
             supply = [s / total_s for s in supply]
             demand = [d / total_d for d in demand]
             cost = [
-                [Value(F(rng.randint(0, 8), 8), TOP_ONE) for _ in range(n)]
+                [Value(F(rng.randint(0, 8), 8)) for _ in range(n)]
                 for _ in range(m)
             ]
             inst = TransportationInstance(supply, demand, cost)
@@ -172,7 +172,7 @@ class TestTransportation:
             supply = [F(1, 2), F(1, 2)]
             demand = [F(1, 4), F(3, 4)]
             cost = [
-                [Value(F(rng.choice([0, 0, 1]), 2), TOP_ONE) for _ in range(n)]
+                [Value(F(rng.choice([0, 0, 1]), 2)) for _ in range(n)]
                 for _ in range(m)
             ]
             inst = TransportationInstance(supply, demand, cost)
@@ -222,7 +222,7 @@ class TestTransportationSimplex:
             supply, demand = _random_mass(rng, m), _random_mass(rng, n)
             cost = [
                 [
-                    Value(INF, TOP_INF) if rng.random() < 0.3 else Value(F(rng.randint(0, 12), 4), TOP_INF)
+                    Value(INF) if rng.random() < 0.3 else Value(F(rng.randint(0, 12), 4))
                     for _ in range(n)
                 ]
                 for _ in range(m)
@@ -232,7 +232,7 @@ class TestTransportationSimplex:
             if expected is INF:
                 assert value.is_infinite and plan is None
                 continue
-            assert value == Value(expected, TOP_INF)
+            assert value == Value(expected)
             # the plan is an exact coupling of the marginals; _plan_cost
             # raises on mass in a forbidden cell
             assert [sum(row) for row in plan] == supply
@@ -245,13 +245,13 @@ class TestTransportationSimplex:
         value, plan = solve_transportation(
             TransportationInstance(supply, demand, _cost([["1/2"] * 4] * 4))
         )
-        assert value == Value(F(1, 2), TOP_ONE)
+        assert value == Value(F(1, 2))
         assert [sum(row) for row in plan] == supply
         assert [sum(col) for col in zip(*plan)] == demand
 
     def test_every_instance_without_a_finite_plan_is_infinite(self):
         # each row may use only its own column, but the marginals differ
-        inf, one = Value(INF, TOP_INF), Value(F(1), TOP_INF)
+        inf, one = Value(INF), Value(F(1))
         cost = [[one, inf], [inf, one]]
         for supply, demand in (
             ([F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]),
@@ -266,7 +266,7 @@ class TestTransportationSimplex:
         assert value.is_infinite and plan is None
 
     def test_zero_mass_rows_may_touch_forbidden_cells(self):
-        inf, half = Value(INF, TOP_INF), Value(F(1, 2), TOP_INF)
+        inf, half = Value(INF), Value(F(1, 2))
         inst = TransportationInstance([F(0), F(1)], [F(1), F(0)], [[inf, inf], [half, inf]])
         value, plan = solve_transportation(inst)
         assert value == half and plan == [[F(0), F(0)], [F(1), F(0)]]

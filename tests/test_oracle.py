@@ -27,7 +27,7 @@ from behametric.values import TOP_INF, TOP_ONE, Value, top
 
 def simple_metric(dist, bound=TOP_ONE):
     return PseudometricTable(
-        ["a", "b"], {("a", "b"): Value(F(dist), bound)}, bound
+        ["a", "b"], {("a", "b"): Value(F(dist))}, bound
     )
 
 
@@ -35,7 +35,7 @@ class TestWassersteinOracle:
     def test_singleton_sets(self):
         d = simple_metric("1/3")
         v = wasserstein_oracle(FinPow(Id()), d, frozenset("a"), frozenset("b"))
-        assert v == Value(F(1, 3), TOP_ONE)
+        assert v == Value(F(1, 3))
 
     def test_one_empty_side_is_top(self):
         d = simple_metric("1/3")
@@ -45,7 +45,7 @@ class TestWassersteinOracle:
     def test_diag_square_unique_coupling(self):
         d = simple_metric(1, TOP_INF)
         v = wasserstein_oracle(DiagSquare(Id()), d, ("a", "b"), ("b", "a"))
-        assert v == Value(F(2), TOP_INF)
+        assert v == Value(F(2))
 
     def test_dist_matches_transportation_engine(self):
         d = simple_metric("1/3")
@@ -53,7 +53,7 @@ class TestWassersteinOracle:
         p2 = Distribution({"a": F(1)})
         brute = wasserstein_oracle(Dist(Id()), d, p1, p2)
         engine = lift_dist(Dist(Id()), d, WASSERSTEIN, p1, p2)
-        assert brute == engine == Value(F(1, 6), TOP_ONE)
+        assert brute == engine == Value(F(1, 6))
 
 
 class TestTransportationVertices:
@@ -180,8 +180,8 @@ class TestKantorovichOrientation:
                 for i in range(len(points))
                 for j in range(i + 1, len(points))
             }
-            assert kantorovich_linear_value(ground, coeffs, TOP_ONE) == Value(brute, TOP_ONE)
-            assert lift_dist(Dist(Id()), d, KANTOROVICH, p1, p2) == Value(brute, TOP_ONE)
+            assert kantorovich_linear_value(ground, coeffs) == Value(brute)
+            assert lift_dist(Dist(Id()), d, KANTOROVICH, p1, p2) == Value(brute)
 
     def test_diag_square_pairs_match_both_orientations(self):
         # the diagonal square lives under top = inf only
@@ -196,6 +196,6 @@ class TestKantorovichOrientation:
                 continue
             points = sorted({*t1, *t2})
             coeffs = [t1.count(x) - t2.count(x) for x in points]
-            assert engine == Value(_both_orientations(points, coeffs, d, TOP_INF), TOP_INF)
+            assert engine == Value(_both_orientations(points, coeffs, d, TOP_INF))
             finite += 1
         assert finite >= 30
