@@ -14,6 +14,7 @@ from .coalgebra import load_lift_instance, load_system, parse_weight
 from .fixpoint import (
     IterationOptions,
     behavioral_distances,
+    format_value,
     matrix_to_csv,
     matrix_to_json,
     trace_to_csv,
@@ -127,7 +128,7 @@ def cmd_dist(args) -> int:
     if not matrix.converged:
         sys.stderr.write(
             f"warning: no fixed point within {matrix.iterations} iterations "
-            f"(residual {matrix.residual})\n"
+            f"(residual {format_value(matrix.residual, matrix.mode)})\n"
         )
         if args.strict:
             return EXIT_UNCONVERGED

@@ -216,7 +216,7 @@ def same_partition(p1, p2) -> bool:
 # rendering
 
 
-def _fmt(v: Value, mode: NumericMode) -> str:
+def format_value(v: Value, mode: NumericMode) -> str:
     if mode.is_exact and v.is_exact:
         return format_magnitude(v.mag)
     return repr(v.as_float())
@@ -226,7 +226,7 @@ def matrix_to_csv(m: DistanceMatrix) -> str:
     out = io.StringIO()
     out.write("state," + ",".join(m.states) + "\n")
     for a in m.states:
-        row = [_fmt(m.table.get(a, b), m.mode) for b in m.states]
+        row = [format_value(m.table.get(a, b), m.mode) for b in m.states]
         out.write(a + "," + ",".join(row) + "\n")
     return out.getvalue()
 
@@ -235,11 +235,11 @@ def matrix_to_json(m: DistanceMatrix) -> dict:
     return {
         "states": list(m.states),
         "entries": [
-            [a, b, _fmt(v, m.mode)] for a, b, v in m.table.entries()
+            [a, b, format_value(v, m.mode)] for a, b, v in m.table.entries()
         ],
         "iterations": m.iterations,
         "converged": m.converged,
-        "residual": _fmt(m.residual, m.mode),
+        "residual": format_value(m.residual, m.mode),
         "method": m.method,
         "mode": m.mode.kind,
     }
@@ -250,5 +250,5 @@ def trace_to_csv(m: DistanceMatrix) -> str:
     out.write("iteration,state1,state2,distance\n")
     for k, table in enumerate(m.trace):
         for a, b, v in table.entries():
-            out.write(f"{k},{a},{b},{_fmt(v, m.mode)}\n")
+            out.write(f"{k},{a},{b},{format_value(v, m.mode)}\n")
     return out.getvalue()

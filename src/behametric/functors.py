@@ -1,4 +1,4 @@
-"""Functor grammar, structure values over finite carriers, couplings.
+"""Functor grammar, structure values over finite carriers, pseudometric tables.
 
 Expressions form a small AST: identity with discount, finitely supported
 distributions, finite powerset, binary product/coproduct, constant spaces and
@@ -399,9 +399,13 @@ def combine_product(ev, v1: Value, v2: Value, bound: TopBound) -> Value:
         # the p-th powers are not distances and may pass top; the root is at
         # most top, since c1 + c2 <= 1 under a finite top, but an irrational
         # root is a double that rounding may lift past float(top)
-        radicand = add_ext(
-            scale(pth_power(v1, ev.p), ev.c1), scale(pth_power(v2, ev.p), ev.c2)
-        )
+        x1, x2 = scale(pth_power(v1, ev.p), ev.c1), scale(pth_power(v2, ev.p), ev.c2)
+        try:
+            radicand = add_ext(x1, x2)
+        except OverflowError:
+            # a power past the float range is a Fraction, which a double
+            # beside it would convert to a float
+            radicand = Value(x1.as_fraction() + x2.as_fraction())
         root = pth_root(radicand, ev.p)
         if (bound.limit is not None and type(root.mag) is float
                 and root.mag > float(bound.limit)):
@@ -409,40 +413,3 @@ def combine_product(ev, v1: Value, v2: Value, bound: TopBound) -> Value:
         return root
     raise ShapeError(f"unknown product evaluation {ev!r}")
 
-
-# ---------------------------------------------------------------------------
-# coupling enumeration (brute-force scale only)
-
-
-class OracleScaleError(ValueError):
-    pass
-
-
-MAX_COUPLING_CELLS = 16
-
-
-def enumerate_couplings_finpow(x1: frozenset, x2: frozenset):
-    """All T subset of X1 x X2 with full projections.  Empty collection iff
-    exactly one side is empty; {emptyset} when both are."""
-    if not x1 and not x2:
-        return [frozenset()]
-    if not x1 or not x2:
-        return []
-    cells = [
-        (a, b) for a in sorted_structs(x1) for b in sorted_structs(x2)
-    ]
-    if len(cells) > MAX_COUPLING_CELLS:
-        raise OracleScaleError(
-            f"{len(cells)} candidate cells exceed the oracle cap {MAX_COUPLING_CELLS}"
-        )
-    out = []
-    for mask in range(1, 1 << len(cells)):
-        chosen = [cells[k] for k in range(len(cells)) if mask >> k & 1]
-        if {a for a, _ in chosen} == set(x1) and {b for _, b in chosen} == set(x2):
-            out.append(frozenset(chosen))
-    return out
-
-
-def enumerate_couplings_diagsquare(t1: tuple, t2: tuple):
-    """The projections force a single coupling of two squared-functor values."""
-    return [((t1[0], t2[0]), (t1[1], t2[1]))]

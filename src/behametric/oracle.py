@@ -1,10 +1,12 @@
-"""Independent references for the lifting computations.
+"""Brute-force referees for the lifting computations.
 
-Everything here is meant for tests and the `check` command only: coupling
-enumeration for finite sets and the diagonal square, transportation-polytope
-vertex enumeration for distributions, and, for the Kantorovich side, which
-the engine computes by transport, the nonexpansiveness LP itself, solved by
-a tableau simplex and by polytope-vertex enumeration.
+Everything here is meant for tests and the `check` command only, and shares
+no code with the engine it checks: Wasserstein by coupling enumeration for
+finite sets, by the one forced coupling for the diagonal square and by
+transportation-polytope vertex enumeration for distributions, and, for the
+Kantorovich side, which the engine computes by transport, the
+nonexpansiveness LP itself, solved by a tableau simplex and by
+polytope-vertex enumeration.
 """
 
 from __future__ import annotations
@@ -14,35 +16,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .functors import (
-    Const,
-    DiagSquare,
-    Dist,
-    FinPow,
-    Id,
-    OracleScaleError,
-    enumerate_couplings_diagsquare,
-    enumerate_couplings_finpow,
-    sorted_structs,
-)
-from .lifting import lift_dist
+from .functors import DiagSquare, Dist, FinPow, Id, sorted_structs
 from .values import INF, Value, add_ext, scale, top
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_COUPLING_CELLS = 16  # candidate cells in enumerate_couplings_finpow
 MAX_SUPPORT = 4  # support points per distribution in wasserstein_oracle
 MAX_BASES = 200000  # candidate active sets in lp_vertices
 
 
+class OracleScaleError(ValueError):
+    """An instance outside what brute force enumerates."""
+
+
 def _ground_fn(sub, d):
-    """Pairwise distance under the node's argument.  Oracles target single
-    grammar nodes, so the argument is Id or Const; anything deeper falls
-    back to the engine under test and is only a consistency check."""
-    if isinstance(sub, Id):
-        return lambda a, b: scale(d.get(a, b), sub.discount)
-    if isinstance(sub, Const):
-        return lambda a, b: sub.space.get(a, b)
-    return lambda a, b: lift_dist(sub, d, "wasserstein", a, b)
+    """Pairwise distance under the node's argument.  Oracles referee single
+    grammar nodes, so the argument is Id."""
+    if not isinstance(sub, Id):
+        raise OracleScaleError(f"no oracle under argument {type(sub).__name__}")
+    return lambda a, b: scale(d.get(a, b), sub.discount)
 
 
 def wasserstein_oracle(expr, d, t1, t2) -> Value:
@@ -61,23 +54,22 @@ def wasserstein_oracle(expr, d, t1, t2) -> Value:
                 values.append(Value(ZERO))
         return min(values)
     if isinstance(expr, DiagSquare):
+        # the projections force the one coupling ((t1[0], t2[0]), (t1[1], t2[1]))
         ground = _ground_fn(expr.sub, d)
-        ((a1, b1), (a2, b2)), = enumerate_couplings_diagsquare(t1, t2)
-        return add_ext(ground(a1, b1), ground(a2, b2))
+        return add_ext(ground(t1[0], t2[0]), ground(t1[1], t2[1]))
     if isinstance(expr, Dist):
         ground = _ground_fn(expr.sub, d)
-        points = sorted_structs(set(t1.support()) | set(t2.support()))
-        if max(len(t1.support()), len(t2.support())) > MAX_SUPPORT:
+        xs, ys = t1.support(), t2.support()
+        if max(len(xs), len(ys)) > MAX_SUPPORT:
             raise OracleScaleError("distribution support exceeds the oracle cap")
-        supply = [t1.prob(x) for x in points]
-        demand = [t2.prob(x) for x in points]
         best = None
+        supply, demand = [t1.prob(x) for x in xs], [t2.prob(y) for y in ys]
         for plan in transportation_vertices(supply, demand):
             val = Value(ZERO)
-            for i, a in enumerate(points):
-                for j, b in enumerate(points):
+            for i, a in enumerate(xs):
+                for j, b in enumerate(ys):
                     w = plan[i][j]
-                    if w > 0 and i != j:
+                    if w > 0:
                         val = add_ext(val, scale(ground(a, b), w))
             if best is None or val < best:
                 best = val
@@ -85,20 +77,39 @@ def wasserstein_oracle(expr, d, t1, t2) -> Value:
     raise OracleScaleError(f"no oracle for node {type(expr).__name__}")
 
 
-def transportation_vertices(supply, demand):
-    """All basic feasible solutions of the balanced transportation polytope.
+def enumerate_couplings_finpow(x1: frozenset, x2: frozenset):
+    """All T subset of X1 x X2 with full projections.  Empty collection iff
+    exactly one side is empty; {emptyset} when both are."""
+    if not x1 and not x2:
+        return [frozenset()]
+    if not x1 or not x2:
+        return []
+    cells = [(a, b) for a in sorted_structs(x1) for b in sorted_structs(x2)]
+    if len(cells) > MAX_COUPLING_CELLS:
+        raise OracleScaleError(
+            f"{len(cells)} candidate cells exceed the oracle cap {MAX_COUPLING_CELLS}"
+        )
+    out = []
+    for mask in range(1, 1 << len(cells)):
+        chosen = [cells[k] for k in range(len(cells)) if mask >> k & 1]
+        if {a for a, _ in chosen} == set(x1) and {b for _, b in chosen} == set(x2):
+            out.append(frozenset(chosen))
+    return out
 
-    Vertices correspond to spanning-forest cell subsets of size m+n-1; each
-    candidate subset yields at most one plan, solved exactly and kept when
-    nonnegative.
+
+def transportation_vertices(supply, demand):
+    """All basic feasible solutions of the balanced transportation polytope,
+    for nonempty supply and demand.
+
+    Vertices correspond to spanning trees of m+n-1 cells; each candidate
+    cell set yields at most one plan, kept when nonnegative.
     """
     m, n = len(supply), len(demand)
     if sum(supply) != sum(demand):
         raise ValueError("unbalanced instance")
     cells = [(i, j) for i in range(m) for j in range(n)]
-    nbasic = m + n - 1
     seen = set()
-    for subset in itertools.combinations(cells, min(nbasic, len(cells))):
+    for subset in itertools.combinations(cells, m + n - 1):
         plan = _solve_tree(supply, demand, subset)
         if plan is None:
             continue
@@ -106,32 +117,39 @@ def transportation_vertices(supply, demand):
         if key not in seen:
             seen.add(key)
             yield plan
-    if m == 0 or n == 0:
-        if all(s == 0 for s in supply) and all(dd == 0 for dd in demand):
-            yield [[ZERO] * n for _ in range(m)]
 
 
-def _solve_tree(supply, demand, subset):
-    """Solve the flow on a candidate basic cell set; None when the cells do
-    not determine a unique nonnegative plan."""
+def _solve_tree(supply, demand, cells):
+    """The plan on a candidate basic cell set, found by peeling leaves: a
+    row or column with one cell left sends that cell everything it still
+    holds.  None when peeling stalls on a cycle, a flow turns negative, or
+    a mass is left over."""
     m, n = len(supply), len(demand)
-    # rows: m supply equations + n demand equations (one redundant)
-    rows = []
-    for i in range(m):
-        rows.append(([ONE if ci == i else ZERO for ci, _ in subset], Fraction(supply[i])))
-    for j in range(1, n):
-        rows.append(([ONE if cj == j else ZERO for _, cj in subset], Fraction(demand[j])))
-    sol = _solve_square(rows, len(subset))
-    if sol is None or any(x < 0 for x in sol):
-        return None
+    # lines 0..m-1 are the rows, m..m+n-1 the columns
+    held = [Fraction(x) for x in (*supply, *demand)]
+    lines = [[] for _ in range(m + n)]
+    for i, j in cells:
+        lines[i].append((i, j))
+        lines[m + j].append((i, j))
+    leaves = [k for k, cs in enumerate(lines) if len(cs) == 1]
     plan = [[ZERO] * n for _ in range(m)]
-    for (i, j), x in zip(subset, sol):
+    while leaves:
+        k = leaves.pop()
+        if len(lines[k]) != 1:
+            continue  # its last cell went with the other end
+        (i, j), = lines[k]
+        x = held[k]
+        if x < 0:
+            return None
         plan[i][j] = x
-    # the dropped demand row must hold too
-    if n > 0 and sum(plan[i][0] for i in range(m)) != Fraction(demand[0]):
+        for end in (i, m + j):
+            held[end] -= x
+            lines[end].remove((i, j))
+            if len(lines[end]) == 1:
+                leaves.append(end)
+    if any(lines) or any(held):
         return None
     return plan
-
 
 
 def _solve_square(rows, nvars):

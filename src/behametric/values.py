@@ -239,7 +239,12 @@ def pth_root(v: Value, p: int) -> Value:
 
 
 def pth_power(v: Value, p: int) -> Value:
-    return Value(v.mag**p)
+    try:
+        return Value(v.mag**p)
+    except OverflowError:
+        # a double whose power passes the float range: power its exact
+        # rational, and pth_root takes the root exactly or through logs
+        return Value(Fraction(v.mag) ** p)
 
 
 def rounding_slack(x: float) -> float:

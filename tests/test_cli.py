@@ -78,6 +78,28 @@ class TestDist:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "mode, residual", [("--exact", "3/10"), ("--float=1e-9", "0.3")], ids=["exact", "float"]
+    )
+    def test_unconverged_warning_renders_the_residual(self, capsys, mode, residual):
+        args = ("dist", str(DATA / "fig1_right.json"), mode)
+        _, converged_out, _ = run(capsys, *args)
+        code, out, err = run(capsys, *args, "--max-iter", "2")
+        assert code == 0 and out == converged_out
+        assert err == f"warning: no fixed point within 2 iterations (residual {residual})\n"
+
+    def test_pnorm_power_past_the_float_range(self, capsys, tmp_path):
+        # top = inf and d(p, q) = 1e200: the double's square overflows
+        doc = json.loads((DATA / "pnorm_top2.json").read_text())
+        doc["top"] = "inf"
+        doc["spaces"]["obs"]["d"] = [["p", "q", "1e200"]]
+        path = tmp_path / "pnorm_huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "dist", str(path), "--float", "1e-9")
+        assert code == 0 and err == ""
+        rows = dict(line.split(",", 1) for line in out.splitlines())
+        assert rows["u"].split(",")[1] == rows["x"].split(",")[3] == "1e+200"
+
     def test_determinism_byte_identical(self, capsys):
         args = ("dist", str(DATA / "fig1_left.json"), "--eps", "1/20")
         _, out1, _ = run(capsys, *args)

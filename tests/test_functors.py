@@ -19,11 +19,11 @@ from behametric.functors import (
     ShapeError,
     Tagged,
     check_expr_bound,
-    enumerate_couplings_diagsquare,
-    enumerate_couplings_finpow,
+    combine_product,
     struct_key,
     validate,
 )
+from behametric.oracle import OracleScaleError, enumerate_couplings_finpow
 from behametric.values import (
     INF,
     ConfigurationError,
@@ -351,6 +351,14 @@ class TestExprInvariants:
         check_expr_bound(heavy, TOP_INF)
 
 
+class TestCombineProduct:
+    def test_pnorm_power_past_the_float_range_beside_a_double(self):
+        # the square of 1e200 is a Fraction, the square of 0.5 a double
+        ev = PNormEval(2, F(1, 2), F(1, 2))
+        v = combine_product(ev, Value(1e200), Value(0.5), TOP_INF)
+        assert v.as_float() == pytest.approx(1e200 / math.sqrt(2), rel=1e-12)
+
+
 class TestCouplingsFinPow:
     def test_singletons_forced(self):
         assert enumerate_couplings_finpow(frozenset("a"), frozenset("b")) == [
@@ -376,25 +384,9 @@ class TestCouplingsFinPow:
                 assert {b for _, b in t} == set(x2) or not x2
 
     def test_cell_cap(self):
-        from behametric.functors import OracleScaleError
-
         big = frozenset("abcde")
         with pytest.raises(OracleScaleError):
             enumerate_couplings_finpow(big, big)
-
-
-class TestCouplingsDiagSquare:
-    def test_unique_coupling_counterexample_shape(self):
-        (c,) = enumerate_couplings_diagsquare(("x1", "x2"), ("x2", "x1"))
-        assert c == (("x1", "x2"), ("x2", "x1"))
-
-    def test_all_equal(self):
-        (c,) = enumerate_couplings_diagsquare(("a", "a"), ("a", "a"))
-        assert c == (("a", "a"), ("a", "a"))
-
-    def test_projections(self):
-        ((l1, l2), (r1, r2)) = enumerate_couplings_diagsquare(("a", "b"), ("c", "d"))[0]
-        assert (l1, r1) == ("a", "b") and (l2, r2) == ("c", "d")
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))

@@ -9,12 +9,12 @@ from behametric.functors import (
     Distribution,
     FinPow,
     Id,
-    OracleScaleError,
     PseudometricTable,
 )
 from behametric.lifting import KANTOROVICH, WASSERSTEIN, kantorovich_linear_value, lift_dist
 from behametric.oracle import (
     LinearProgram,
+    OracleScaleError,
     kantorovich_vertex_oracle,
     lp_vertices,
     solve_max,
@@ -54,6 +54,26 @@ class TestWassersteinOracle:
         brute = wasserstein_oracle(Dist(Id()), d, p1, p2)
         engine = lift_dist(Dist(Id()), d, WASSERSTEIN, p1, p2)
         assert brute == engine == Value(F(1, 6))
+
+    def test_dist_disjoint_supports(self):
+        # couplings live on the two supports: 4 x 4 cells, not the 8 x 8
+        # of their union
+        atoms = [str(i) for i in range(8)]
+        d = PseudometricTable(
+            atoms,
+            {(a, b): Value(F(abs(int(a) - int(b)), 8)) for a in atoms for b in atoms if a < b},
+            TOP_ONE,
+        )
+        p1 = Distribution({"0": F(1, 10), "1": F(2, 10), "2": F(3, 10), "3": F(4, 10)})
+        p2 = Distribution({"4": F(1, 4), "5": F(1, 4), "6": F(1, 4), "7": F(1, 4)})
+        brute = wasserstein_oracle(Dist(Id()), d, p1, p2)
+        assert brute == lift_dist(Dist(Id()), d, WASSERSTEIN, p1, p2)
+
+    def test_argument_must_be_id(self):
+        d = simple_metric("1/3")
+        p = Distribution({"a": F(1)})
+        with pytest.raises(OracleScaleError, match="argument Dist"):
+            wasserstein_oracle(Dist(Dist(Id())), d, p, p)
 
 
 class TestTransportationVertices:

@@ -159,6 +159,13 @@ class TestRoots:
         with pytest.raises(ConfigurationError, match="float range"):
             pth_root(Value(F(10**700 + 1)), 2)
 
+    def test_power_past_the_float_range_is_exact(self):
+        # 1e200 ** 2 overflows a double; the exact rational of the double
+        # is powered instead, and a double that fits is left as it was
+        v = pth_power(Value(1e200), 2)
+        assert v == Value(F(1e200) ** 2) and v.is_exact
+        assert pth_power(Value(1e100), 2) == Value(1e100**2)
+
     def test_large_cubes_are_exact(self):
         for n in (3**100, 2**200 + 1, 10**60 - 7):
             v = pth_root(Value(F(n**3, (n + 1) ** 3)), 3)
