@@ -72,10 +72,11 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
     residual = ZERO
     converged = len(pairs) == 0
     iterations = 0
+    store = {}  # each Dist pair's transport, warm from the iteration before
     for iterations in range(1, opts.max_iter + 1):
         entries = {}
         residual = ZERO
-        for (a, b), v in zip(pairs, _lift_pairs(sys, current, opts.method, pairs)):
+        for (a, b), v in zip(pairs, _lift_pairs(sys, current, opts.method, pairs, store)):
             prev = current.get(a, b)
             step = dist_e(v, prev)
             if v < prev:
@@ -104,9 +105,10 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
     )
 
 
-def _lift_pairs(sys: System, table: PseudometricTable, method: str, pairs) -> list:
-    """One lifting step: the lifted distance of every state pair."""
-    engine = LiftingEngine(sys.expr, table, method)
+def _lift_pairs(sys: System, table: PseudometricTable, method: str, pairs, store=None) -> list:
+    """One lifting step: the lifted distance of every state pair, its
+    transports kept in store for the next step when one is given."""
+    engine = LiftingEngine(sys.expr, table, method, store)
     return [engine.dist(sys.alpha[a], sys.alpha[b]) for a, b in pairs]
 
 

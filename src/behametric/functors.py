@@ -54,7 +54,7 @@ class Distribution:
     """Finitely supported probability distribution with positive rational
     weights summing exactly to 1.  Hashable; support kept in canonical order."""
 
-    __slots__ = ("_items", "_map")
+    __slots__ = ("_items", "_map", "_hash")
 
     def __init__(self, items):
         pairs = []
@@ -69,6 +69,7 @@ class Distribution:
             raise ShapeError(f"weights sum to {total}, not 1")
         self._items = tuple(pairs)
         self._map = dict(pairs)
+        self._hash = None  # computed on first use: memo and store keys hash it
 
     @property
     def items(self):
@@ -84,7 +85,9 @@ class Distribution:
         return isinstance(other, Distribution) and self._items == other._items
 
     def __hash__(self):
-        return hash(self._items)
+        if self._hash is None:
+            self._hash = hash(self._items)
+        return self._hash
 
     def __repr__(self):
         body = ", ".join(f"{x!r}: {p}" for x, p in self._items)

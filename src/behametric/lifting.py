@@ -55,10 +55,13 @@ class LiftingEngine:
     """Lift one ground pseudometric through one expression, memoized.
 
     Reuse a single engine when evaluating many structure pairs against the
-    same table (the fixed-point loop does exactly that).
+    same table (the fixed-point loop does exactly that).  A transport store,
+    a dict that outlives the engine, keeps each `Dist` pair's transportation
+    instance from one table to the next, so that its next solve starts from
+    its last optimal basis; an engine without one starts every pair cold.
     """
 
-    def __init__(self, expr: FunctorExpr, d, method: str = WASSERSTEIN):
+    def __init__(self, expr: FunctorExpr, d, method: str = WASSERSTEIN, store=None):
         if method not in METHODS:
             raise ConfigurationError(f"unknown lifting method {method!r}")
         self.expr = expr
@@ -66,6 +69,7 @@ class LiftingEngine:
         self.method = method
         self.bound = d.bound
         self._memo = {}
+        self._store = {} if store is None else store
 
     def dist(self, t1, t2) -> Value:
         return self.bound.check(self._lift(self.expr, t1, t2))
@@ -121,9 +125,15 @@ class LiftingEngine:
         # one transportation problem for both methods: the lifted ground
         # distance is a pseudometric, so mass common to both distributions
         # stays in place at zero cost and only the difference ships
-        union = sorted_structs(set(p1.support()) | set(p2.support()))
-        diff = [p1.prob(x) - p2.prob(x) for x in union]
-        return _ship(diff, lambda i, j: self._lift(sub, union[i], union[j]))
+        key = (id(sub), p1, p2)
+        entry = self._store.get(key)
+        if entry is None:
+            union = sorted_structs(set(p1.support()) | set(p2.support()))
+            entry = self._store[key] = (
+                union, _Shipment([p1.prob(x) - p2.prob(x) for x in union])
+            )
+        union, shipment = entry
+        return shipment.value(lambda i, j: self._lift(sub, union[i], union[j]))
 
     def _diag_node(self, sub, t1, t2) -> Value:
         if self.method == WASSERSTEIN:
@@ -177,22 +187,37 @@ def kantorovich_linear_value(ground, coeffs) -> Value:
     Wasserstein is what crossing saves.
     """
     assert sum(coeffs) == 0, "Kantorovich coefficients must sum to zero"
-    return _ship(coeffs, lambda i, j: ground[min(i, j), max(i, j)])
+    return _Shipment(coeffs).value(lambda i, j: ground[min(i, j), max(i, j)])
 
 
-def _ship(weights, cost) -> Value:
-    """Cheapest transport of the positive weights onto the negative ones,
-    at cost(i, j) per unit from i to j."""
-    sources = [i for i, w in enumerate(weights) if w > 0]
-    sinks = [j for j, w in enumerate(weights) if w < 0]
-    if not sources:
-        return ZERO
-    value, _ = solve_transportation(TransportationInstance(
-        [weights[i] for i in sources],
-        [-weights[j] for j in sinks],
-        [[cost(i, j) for j in sinks] for i in sources],
-    ))
-    return value
+class _Shipment:
+    """Transport of the positive weights onto the negative ones.  The split
+    into sources and sinks and its instance are built once; each solve
+    refills the costs, and the instance keeps its last optimal basis."""
+
+    __slots__ = ("weights", "sources", "sinks", "inst")
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.sources = [i for i, w in enumerate(weights) if w > 0]
+        self.sinks = [j for j, w in enumerate(weights) if w < 0]
+        self.inst = None
+
+    def value(self, cost) -> Value:
+        """The cheapest transport at cost(i, j) per unit from i to j."""
+        if not self.sources:
+            return ZERO
+        costs = [[cost(i, j) for j in self.sinks] for i in self.sources]
+        if self.inst is None:
+            self.inst = TransportationInstance(
+                [self.weights[i] for i in self.sources],
+                [-self.weights[j] for j in self.sinks],
+                costs,
+            )
+        else:
+            self.inst.cost = costs
+        value, _ = solve_transportation(self.inst)
+        return value
 
 
 # ---------------------------------------------------------------------------

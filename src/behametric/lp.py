@@ -1,14 +1,18 @@
 """Exact-rational transportation: move supply to demand at minimum cost.
 
 ``solve_transportation`` is a transportation simplex on the bipartite basis
-tree: a north-west-corner start, MODI potentials, Bland's rule and pivots
-around the tree cycle, all over Fractions.  It serves both liftings of a
-distribution and the Kantorovich lifting of the diagonal square.
+tree: MODI potentials, Bland's rule and pivots around the tree cycle, all
+over Fractions.  An instance's first solve starts from the north-west
+corner; each later solve starts from the optimal basis of the one before.
+An instance keeps its masses and changes only its costs, so that basis is
+still feasible and Bland's rule still terminates from it.  It serves both
+liftings of a distribution and the Kantorovich lifting of the diagonal
+square.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .values import INF, Value
@@ -22,12 +26,17 @@ class TransportationInstance:
 
     Costs are Values; an infinite cost forbids the cell.  Supplies and
     demands are nonnegative rationals with equal totals, not necessarily 1:
-    the two components of a diagonal square ship a mass of up to 2.
+    the two components of a diagonal square ship a mass of up to 2.  A
+    caller may replace the costs between solves but never the masses:
+    ``basis`` holds the optimal basis of the last solve, where the next
+    one starts.
     """
 
     supply: list
     demand: list
     cost: list  # matrix of Value
+    # (plan, rows, cols) as _north_west_corner builds them
+    basis: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.supply = [Fraction(s) for s in self.supply]
@@ -50,7 +59,8 @@ def solve_transportation(inst: TransportationInstance):
     When every feasible plan must use a forbidden (infinite-cost) cell the
     value is infinite and the plan is None.  An inexact (double) cost is
     priced at its exact binary value, and the optimum is then returned as
-    a double.
+    a double.  The optimum is unique, so where the solve starts moves only
+    the work and which optimal plan comes back.
     """
     m, n = len(inst.supply), len(inst.demand)
     # a cell costs the pair (forbidden, finite cost), ordered
@@ -66,12 +76,19 @@ def solve_transportation(inst: TransportationInstance):
         for row in inst.cost
     ]
     inexact = any(not v.is_exact for row in inst.cost for v in row)
-    plan, rows, cols = _north_west_corner(inst.supply, inst.demand)
+    if inst.basis is None:
+        plan, rows, cols = _north_west_corner(inst.supply, inst.demand)
+    else:
+        # copied, so that a plan handed back earlier stays as it was
+        plan, rows, cols = inst.basis
+        plan = [row[:] for row in plan]
+        rows, cols = [set(r) for r in rows], [set(c) for c in cols]
     while True:
         entering = _entering_cell(big, small, rows, cols)
         if entering is None:
             break
         _pivot_cycle(plan, rows, cols, *entering)
+    inst.basis = plan, rows, cols
     total = ZERO
     for i in range(m):
         for j in rows[i]:

@@ -255,6 +255,42 @@ class TestDoublesInExactMode:
         assert converged > 750
 
 
+class TestWarmTransport:
+    """Each Dist pair's transport outlives its iteration, and its next solve
+    starts from its last optimal basis."""
+
+    @pytest.mark.parametrize("mode", [EXACT, NumericMode.approx(1e-9)], ids=["exact", "float"])
+    def test_fewer_pivots_and_the_same_output_as_cold_solves(self, mode, monkeypatch):
+        from behametric import lifting, lp
+
+        sys_ = from_prob_ts(random_prob_ts(random.Random(6), 6, F(9, 10)), mode)
+        opts = IterationOptions(max_iter=30, trace=True)
+        pivots = [0]
+        pivot = lp._pivot_cycle
+
+        def counted(*args):
+            pivots[0] += 1
+            return pivot(*args)
+
+        monkeypatch.setattr(lp, "_pivot_cycle", counted)
+        warm = behavioral_distances(sys_, opts)
+        warm_pivots = pivots[0]
+
+        solve = lifting.solve_transportation
+
+        def cold(inst):
+            inst.basis = None  # start from the north-west corner
+            return solve(inst)
+
+        monkeypatch.setattr(lifting, "solve_transportation", cold)
+        pivots[0] = 0
+        ref = behavioral_distances(sys_, opts)
+        assert warm_pivots < pivots[0]
+        assert matrix_to_csv(warm) == matrix_to_csv(ref)
+        assert trace_to_csv(warm) == trace_to_csv(ref)
+        assert matrix_to_json(warm) == matrix_to_json(ref)
+
+
 def _with_entry(m, a, b, v):
     """m with the (a, b) entry replaced, the axioms unchecked."""
     entries = {(x, y): w for x, y, w in m.table.entries()}

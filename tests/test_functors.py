@@ -53,6 +53,16 @@ class TestDistribution:
         assert p == q and hash(p) == hash(q)
         assert p.support() == ["x", "y"]
 
+    def test_equal_distributions_hash_equal_cached_or_not(self):
+        # the hash is cached on first use: a key hashed before must still
+        # find an equal distribution built after, nested ones included
+        inner = Distribution({"x": F(1, 3), "y": F(2, 3)})
+        p = Distribution({inner: F(1, 2), "z": F(1, 2)})
+        store = {(p, inner): 1}
+        q = Distribution({"z": 0.5, Distribution({"y": F(2, 3), "x": F(1, 3)}): F(1, 2)})
+        assert q == p and hash(q) == hash(p) == hash(p)
+        assert store[(q, q.support()[1])] == 1
+
 
 class TestValidate:
     def test_dist_ok(self):

@@ -270,3 +270,60 @@ class TestTransportationSimplex:
         inst = TransportationInstance([F(0), F(1)], [F(1), F(0)], [[inf, inf], [half, inf]])
         value, plan = solve_transportation(inst)
         assert value == half and plan == [[F(0), F(0)], [F(1), F(0)]]
+
+
+def _random_cost(rng, m, n, doubles):
+    """Costs in quarters, or doubles; about a third of the cells forbidden,
+    and now and then every cell."""
+    if rng.random() < 0.1:
+        return [[Value(INF)] * n for _ in range(m)]
+
+    def cell():
+        if rng.random() < 0.3:
+            return Value(INF)
+        if doubles and rng.random() < 0.5:
+            return Value(rng.uniform(0, 3))
+        return Value(F(rng.randint(0, 12), 4))
+
+    return [[cell() for _ in range(n)] for _ in range(m)]
+
+
+def _assert_feasible(inst, plan):
+    assert [sum(row) for row in plan] == inst.supply
+    assert [sum(col) for col in zip(*plan)] == inst.demand
+    assert all(x >= 0 for row in plan for x in row)
+    assert not any(
+        x and inst.cost[i][j].is_infinite for i, row in enumerate(plan) for j, x in enumerate(row)
+    )
+
+
+class TestWarmStart:
+    """A solve after the first starts from the instance's last optimal
+    basis; only the costs change in between."""
+
+    @pytest.mark.parametrize("doubles", [False, True], ids=["exact", "double"])
+    def test_warm_solve_equals_cold_solve(self, doubles):
+        rng = random.Random(37)
+        warm = 0
+        for _ in range(120):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            # zero masses leave zero-flow cells in every basis
+            supply, demand = _random_mass(rng, m), _random_mass(rng, n)
+            inst = TransportationInstance(supply, demand, _random_cost(rng, m, n, doubles))
+            _, plan = solve_transportation(inst)
+            for _ in range(4):
+                earlier = plan and (plan, [row[:] for row in plan])
+                warm += inst.basis is not None
+                inst.cost = _random_cost(rng, m, n, doubles)
+                value, plan = solve_transportation(inst)
+                cold, _ = solve_transportation(TransportationInstance(supply, demand, inst.cost))
+                assert value == cold and type(value.mag) is type(cold.mag)
+                if earlier:  # a plan handed back before is left as it was
+                    assert earlier[0] == earlier[1]
+                if value.is_infinite:
+                    assert plan is None
+                    continue
+                _assert_feasible(inst, plan)
+                exact = _plan_cost(inst.cost, plan)
+                assert value.mag == (exact if value.is_exact else float(exact))
+        assert warm > 300

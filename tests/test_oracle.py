@@ -160,8 +160,9 @@ class TestBudget:
 
 
 def _both_orientations(points, coeffs, d, bound):
-    """The larger vertex-oracle optimum of +coeffs and -coeffs over the
-    nonexpansive f: points -> [0, hi], with the LP written out here."""
+    """The largest |sum coeffs * f| over the vertices of the nonexpansive
+    f: points -> [0, hi], with the LP written out here: the larger optimum
+    of the two orientations, +coeffs and -coeffs, from one enumeration."""
     pairs = [
         (i, j, d.get(points[i], points[j]))
         for i in range(len(points))
@@ -176,8 +177,8 @@ def _both_orientations(points, coeffs, d, bound):
         rows += [(row, q), ([-c for c in row], q)]
     rows += _box(len(points), hi)
     return max(
-        kantorovich_vertex_oracle(LinearProgram([s * c for c in coeffs], rows))
-        for s in (1, -1)
+        abs(sum(c * x for c, x in zip(coeffs, v)))
+        for v in lp_vertices(LinearProgram(coeffs, rows))
     )
 
 
