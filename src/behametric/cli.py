@@ -19,7 +19,7 @@ from .fixpoint import (
     matrix_to_json,
     trace_to_csv,
 )
-from .lifting import KANTOROVICH, WASSERSTEIN, duality_gap, lift_dist
+from .lifting import KANTOROVICH, WASSERSTEIN, lift_both, lift_dist
 from .suites import SUITES, run_suite
 from .values import NumericMode, Value, format_magnitude
 
@@ -90,7 +90,7 @@ def build_parser():
         help=f"one of: all, {', '.join(sorted(SUITES))}",
     )
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--n", type=int, default=50, help="instances per node")
+    p_check.add_argument("--n", type=int, default=50, help="instances per node, at least 1")
 
     p_trace = sub.add_parser("trace", help="print per-iteration matrices as CSV")
     _add_system_flags(p_trace)
@@ -143,9 +143,7 @@ def cmd_lift(args) -> int:
         return format_magnitude(v.mag)
 
     if args.both:
-        k = lift_dist(inst.expr, inst.space, KANTOROVICH, inst.t1, inst.t2)
-        w = lift_dist(inst.expr, inst.space, WASSERSTEIN, inst.t1, inst.t2)
-        gap = duality_gap(inst.expr, inst.space, inst.t1, inst.t2)
+        k, w, gap = lift_both(inst.expr, inst.space, inst.t1, inst.t2)
         print(f"kantorovich {show(k)}")
         print(f"wasserstein {show(w)}")
         print(f"gap {show(gap)}")

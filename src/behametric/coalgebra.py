@@ -171,7 +171,8 @@ class System:
 @dataclass
 class ProbTS:
     """States moving to successor distributions with explicit termination
-    mass; weights per state sum exactly to 1."""
+    mass; weights per state sum exactly to 1.  A zero transition weight
+    means no transition and is dropped."""
 
     states: tuple
     transitions: dict  # state -> {state: Fraction}
@@ -180,6 +181,10 @@ class ProbTS:
 
     def __post_init__(self):
         self.states = tuple(self.states)
+        self.transitions = {
+            s: {tgt: w for tgt, w in trans.items() if w != 0}
+            for s, trans in self.transitions.items()
+        }
         self.c = Fraction(self.c)
         if not 0 < self.c < 1:
             raise SchemaError("c", f"discount {self.c} not in (0, 1)")
@@ -241,10 +246,7 @@ def from_prob_ts(p: ProbTS, mode: NumericMode = EXACT) -> System:
     expr = Dist(Coproduct(Id(p.c), Const(term_space, name="term")))
     alpha = {}
     for s in p.states:
-        weights = {}
-        for tgt, w in p.transitions.get(s, {}).items():
-            if w > 0:
-                weights[Tagged("left", tgt)] = w
+        weights = {Tagged("left", tgt): w for tgt, w in p.transitions.get(s, {}).items()}
         tw = Fraction(p.terminate.get(s, 0))
         if tw > 0:
             weights[Tagged("right", TERMINATED)] = tw
@@ -277,6 +279,10 @@ def from_metric_ts(m: MetricTS, mode: NumericMode = EXACT) -> System:
 # ---------------------------------------------------------------------------
 # JSON: expressions
 
+# the nodes with one child, by their JSON name
+_UNARY_NODES = {"dist": Dist, "finpow": FinPow, "diagsquare": DiagSquare}
+_UNARY_NAMES = {node: name for name, node in _UNARY_NODES.items()}
+
 
 def expr_from_json(doc, spaces, bound, path="expr") -> FunctorExpr:
     if doc == "id":
@@ -292,12 +298,8 @@ def expr_from_json(doc, spaces, bound, path="expr") -> FunctorExpr:
             return Id(parse_weight(body.get("discount", "1"), path=sub + ".discount"))
         except ConfigurationError as exc:
             raise SchemaError(sub + ".discount", str(exc)) from None
-    if kind == "dist":
-        return Dist(expr_from_json(body, spaces, bound, sub))
-    if kind == "finpow":
-        return FinPow(expr_from_json(body, spaces, bound, sub))
-    if kind == "diagsquare":
-        return DiagSquare(expr_from_json(body, spaces, bound, sub))
+    if kind in _UNARY_NODES:
+        return _UNARY_NODES[kind](expr_from_json(body, spaces, bound, sub))
     if kind == "coproduct":
         if not (isinstance(body, list) and len(body) == 2):
             raise SchemaError(sub, "coproduct takes [left, right]")
@@ -338,12 +340,8 @@ def expr_from_json(doc, spaces, bound, path="expr") -> FunctorExpr:
 def expr_to_json(expr: FunctorExpr):
     if isinstance(expr, Id):
         return {"id": {"discount": format_magnitude(expr.discount)}}
-    if isinstance(expr, Dist):
-        return {"dist": expr_to_json(expr.sub)}
-    if isinstance(expr, FinPow):
-        return {"finpow": expr_to_json(expr.sub)}
-    if isinstance(expr, DiagSquare):
-        return {"diagsquare": expr_to_json(expr.sub)}
+    if type(expr) in _UNARY_NAMES:
+        return {_UNARY_NAMES[type(expr)]: expr_to_json(expr.sub)}
     if isinstance(expr, Coproduct):
         return {"coproduct": [expr_to_json(expr.left), expr_to_json(expr.right)]}
     if isinstance(expr, Product):
@@ -547,10 +545,6 @@ def _parse_prob_ts(doc, eps=None, c=None) -> ProbTS:
         }
         for s in states
     }
-    transitions = {
-        s: {tgt: w for tgt, w in trans.items() if w != 0}
-        for s, trans in transitions.items()
-    }
     terminate = {
         s: parse_weight(terminate_doc.get(s, 0), eps, f"terminate[{s}]") for s in states
     }
@@ -580,9 +574,8 @@ def _parse_metric_ts(doc) -> MetricTS:
 
 def serialize(sys: System) -> dict:
     """Generic-system document; load_system(serialize(s)) == s."""
-    spaces = {}
-    for const in sys.expr.const_spaces():
-        spaces[const.name] = table_to_json(const.space)
+    consts = [e for e in sys.expr.subexprs() if isinstance(e, Const)]
+    spaces = {const.name: table_to_json(const.space) for const in consts}
     return {
         "kind": "system",
         "top": "inf" if sys.top.is_infinite else format_magnitude(sys.top.limit),

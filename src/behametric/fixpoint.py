@@ -22,6 +22,7 @@ from .values import (
     ZERO,
     NumericMode,
     Value,
+    check_tolerance,
     dist_e,
     format_magnitude,
     rounding_slack,
@@ -41,8 +42,8 @@ class IterationOptions:
             raise ValueError("workers must be 1: iteration is serial")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if self.tol is not None:
+            check_tolerance(self.tol, "tol")
 
 
 @dataclass

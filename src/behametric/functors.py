@@ -10,7 +10,7 @@ use Tagged, distributions use Distribution).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .values import (
@@ -221,14 +221,14 @@ class PseudometricTable:
 class FunctorExpr:
     """Base class; nodes are immutable and carry their evaluation choice."""
 
-    def const_spaces(self):
-        """All Const tables reachable from this expression."""
-        out = []
-        self._collect_consts(out)
-        return out
-
-    def _collect_consts(self, out):
-        pass
+    def subexprs(self):
+        """This node, then the subexpressions of each child in field order
+        (preorder); a node's children are its FunctorExpr fields."""
+        yield self
+        for f in fields(self):
+            child = getattr(self, f.name)
+            if isinstance(child, FunctorExpr):
+                yield from child.subexprs()
 
 
 @dataclass(frozen=True)
@@ -245,16 +245,10 @@ class Id(FunctorExpr):
 class Dist(FunctorExpr):
     sub: FunctorExpr
 
-    def _collect_consts(self, out):
-        self.sub._collect_consts(out)
-
 
 @dataclass(frozen=True)
 class FinPow(FunctorExpr):
     sub: FunctorExpr
-
-    def _collect_consts(self, out):
-        self.sub._collect_consts(out)
 
 
 @dataclass(frozen=True)
@@ -284,19 +278,11 @@ class Product(FunctorExpr):
     right: FunctorExpr
     eval: object = MaxEval()
 
-    def _collect_consts(self, out):
-        self.left._collect_consts(out)
-        self.right._collect_consts(out)
-
 
 @dataclass(frozen=True)
 class Coproduct(FunctorExpr):
     left: FunctorExpr
     right: FunctorExpr
-
-    def _collect_consts(self, out):
-        self.left._collect_consts(out)
-        self.right._collect_consts(out)
 
 
 @dataclass(frozen=True)
@@ -307,46 +293,28 @@ class Const(FunctorExpr):
     def __hash__(self):
         return hash((self.name, self.space.carrier))
 
-    def _collect_consts(self, out):
-        out.append(self)
-
 
 @dataclass(frozen=True)
 class DiagSquare(FunctorExpr):
     sub: FunctorExpr
 
-    def _collect_consts(self, out):
-        self.sub._collect_consts(out)
-
 
 def check_expr_bound(expr: FunctorExpr, bound: TopBound) -> None:
     """One consistent TopBound per expression; Const tables must match and
     a p-norm product under a finite top needs c1 + c2 <= 1 to stay in
-    range, the sum evaluation of DiagSquare needs top = inf."""
-    for const in expr.const_spaces():
-        if const.space.bound != bound:
+    range, the sum evaluation of DiagSquare needs top = inf.  The first
+    node in preorder that breaks a rule names it."""
+    for e in expr.subexprs():
+        if isinstance(e, Const) and e.space.bound != bound:
             raise ConfigurationError(
-                f"const space {const.name!r} uses {const.space.bound}, expected {bound}"
+                f"const space {e.name!r} uses {e.space.bound}, expected {bound}"
             )
-    def walk(e):
-        if isinstance(e, Product):
-            if isinstance(e.eval, PNormEval) and not bound.is_infinite:
-                if e.eval.c1 + e.eval.c2 > 1:
-                    raise ConfigurationError(
-                        "p-norm weights must sum to <= 1 under a finite top"
-                    )
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, DiagSquare):
-            if not bound.is_infinite:
-                raise ConfigurationError("diagonal square requires top = inf")
-            walk(e.sub)
-        elif isinstance(e, (Dist, FinPow)):
-            walk(e.sub)
-        elif isinstance(e, Coproduct):
-            walk(e.left)
-            walk(e.right)
-    walk(expr)
+        if bound.is_infinite:
+            continue
+        if isinstance(e, Product) and isinstance(e.eval, PNormEval) and e.eval.c1 + e.eval.c2 > 1:
+            raise ConfigurationError("p-norm weights must sum to <= 1 under a finite top")
+        if isinstance(e, DiagSquare):
+            raise ConfigurationError("diagonal square requires top = inf")
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +344,12 @@ def _validate(expr, carrier, t, path):
             raise ShapeError(f"expected a frozenset, got {t!r}", path)
         for x in sorted_structs(t):
             _validate(expr.sub, carrier, x, f"{path}.{x!r}")
-    elif isinstance(expr, Product):
+    elif isinstance(expr, (Product, DiagSquare)):
         if not (isinstance(t, tuple) and len(t) == 2):
             raise ShapeError(f"expected a pair, got {t!r}", path)
-        _validate(expr.left, carrier, t[0], f"{path}[0]")
-        _validate(expr.right, carrier, t[1], f"{path}[1]")
-    elif isinstance(expr, DiagSquare):
-        if not (isinstance(t, tuple) and len(t) == 2):
-            raise ShapeError(f"expected a pair, got {t!r}", path)
-        _validate(expr.sub, carrier, t[0], f"{path}[0]")
-        _validate(expr.sub, carrier, t[1], f"{path}[1]")
+        sides = (expr.left, expr.right) if isinstance(expr, Product) else (expr.sub, expr.sub)
+        for k, side in enumerate(sides):
+            _validate(side, carrier, t[k], f"{path}[{k}]")
     elif isinstance(expr, Coproduct):
         if not isinstance(t, Tagged):
             raise ShapeError(f"expected a tagged value, got {t!r}", path)

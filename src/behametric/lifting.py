@@ -15,7 +15,6 @@ whichever is cheaper.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,12 +143,9 @@ class LiftingEngine:
         # t1's components ship onto t2's; a point in both cancels
         points = sorted_structs({*t1, *t2})
         coeffs = [t1.count(x) - t2.count(x) for x in points]
-        ground = {
-            (i, j): self._lift(sub, points[i], points[j])
-            for i, j in itertools.combinations(range(len(points)), 2)
-            if coeffs[i] * coeffs[j] < 0
-        }
-        return kantorovich_linear_value(ground, coeffs)
+        return kantorovich_linear_value(
+            coeffs, lambda i, j: self._lift(sub, points[i], points[j])
+        )
 
 
 def lift_dist(expr: FunctorExpr, d, method: str, t1, t2) -> Value:
@@ -157,24 +153,30 @@ def lift_dist(expr: FunctorExpr, d, method: str, t1, t2) -> Value:
     return LiftingEngine(expr, d, method).dist(t1, t2)
 
 
-def duality_gap(expr: FunctorExpr, d, t1, t2) -> Value:
-    """wasserstein minus kantorovich; nonnegative, and zero on every node
+def lift_both(expr: FunctorExpr, d, t1, t2):
+    """(kantorovich, wasserstein, gap), each method lifted once.  The gap,
+    wasserstein minus kantorovich, is nonnegative, and zero on every node
     except possibly the diagonal square."""
-    w = lift_dist(expr, d, WASSERSTEIN, t1, t2)
     k = lift_dist(expr, d, KANTOROVICH, t1, t2)
+    w = lift_dist(expr, d, WASSERSTEIN, t1, t2)
     if w < k:
         raise AssertionError(f"wasserstein {w} below kantorovich {k}")
-    return dist_e(w, k)
+    return k, w, dist_e(w, k)
+
+
+def duality_gap(expr: FunctorExpr, d, t1, t2) -> Value:
+    """wasserstein minus kantorovich; see lift_both."""
+    return lift_both(expr, d, t1, t2)[2]
 
 
 # ---------------------------------------------------------------------------
 # the Kantorovich lifting of a linear functional, by transport
 
 
-def kantorovich_linear_value(ground, coeffs) -> Value:
+def kantorovich_linear_value(coeffs, cost) -> Value:
     """sup |sum coeffs[i] * f(i)| over f: points -> [0, top] nonexpansive
-    w.r.t. the ground distances, a dict (i, j) -> Value for i < j that holds
-    at least every pair of a positive and a negative coefficient.
+    w.r.t. the ground distance cost(i, j), a Value, which is asked only for
+    a positive coefficient i and a negative one j.
 
     Precondition: the ground distance satisfies the triangle inequality.
     The coefficients sum to zero, so by Kantorovich-Rubinstein duality the
@@ -187,7 +189,7 @@ def kantorovich_linear_value(ground, coeffs) -> Value:
     Wasserstein is what crossing saves.
     """
     assert sum(coeffs) == 0, "Kantorovich coefficients must sum to zero"
-    return _Shipment(coeffs).value(lambda i, j: ground[min(i, j), max(i, j)])
+    return _Shipment(coeffs).value(cost)
 
 
 class _Shipment:

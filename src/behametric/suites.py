@@ -324,6 +324,8 @@ SUITES = {
 
 
 def run_suite(name, seed=0, n=50) -> SuiteResult:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     try:
         fn = SUITES[name]
     except KeyError:

@@ -76,6 +76,13 @@ TOP_ONE = TopBound.finite(1)
 TOP_INF = TopBound.infinite()
 
 
+def check_tolerance(tol, name: str) -> None:
+    """A tolerance is finite and positive: under inf the first step would
+    already pass as converged."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConfigurationError(f"{name} must be finite and positive, got {tol}")
+
+
 @dataclass(frozen=True)
 class NumericMode:
     """exact: all comparisons are exact; float: compared up to tolerance."""
@@ -86,8 +93,8 @@ class NumericMode:
     def __post_init__(self):
         if self.kind not in ("exact", "float"):
             raise ConfigurationError(f"unknown numeric mode {self.kind!r}")
-        if self.kind == "float" and not self.tolerance > 0:
-            raise ConfigurationError("float-mode tolerance must be positive")
+        if self.kind == "float":
+            check_tolerance(self.tolerance, "float-mode tolerance")
 
     @classmethod
     def exact(cls) -> "NumericMode":

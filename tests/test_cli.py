@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from behametric import lifting
 from behametric.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -66,6 +67,59 @@ class TestDist:
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == ""
             assert err.startswith("error: $: ") and "Traceback" not in err
+
+    def test_infinite_tolerance_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "dist", str(DATA / "fig1_left.json"), "--eps", "1/20", "--float", "inf"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: float-mode tolerance must be finite and positive, got inf\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"top": "1", "expr": "id", "states": ["s", "s"], "alpha": {"s": "s"}},
+                "states: duplicate state names",
+            ),
+            (
+                {"kind": "prob_ts", "states": ["x"], "transitions": {"x": {"w": "1"}}},
+                "transitions[x]: unknown state 'w'",
+            ),
+            (
+                {"kind": "metric_ts", "states": ["s"], "propositions": {}},
+                "propositions: at least one proposition required",
+            ),
+            (
+                {"top": "1", "expr": {"product": {"left": "id"}}},
+                "expr.product: product takes {left, right, eval?}",
+            ),
+            (
+                {"top": "1", "expr": {"product": {"left": "id", "right": "id", "eval": {
+                    "pnorm": {"p": 0, "c1": "1/2", "c2": "1/2"}}}}},
+                "expr.product.eval.pnorm: p must be >= 1",
+            ),
+            (
+                {"top": "1", "expr": {"product": {"left": "id", "right": "id", "eval": {
+                    "pnorm": {"p": 2, "c1": "3/2", "c2": "1/2"}}}}},
+                "expr.product.eval.pnorm: weight 3/2 not in (0, 1]",
+            ),
+            (
+                {"top": "1", "expr": {"finpow": "id"}, "states": ["s"],
+                 "alpha": {"s": {"set": "s"}}},
+                "alpha.s.set: expected a list, got 's'",
+            ),
+            (["x", "y"], "$: expected a JSON object"),
+        ],
+        ids=["duplicate-states", "unknown-target", "no-propositions", "product-sides",
+             "pnorm-p", "pnorm-weight", "set-body", "non-object"],
+    )
+    def test_malformed_document_names_its_path(self, capsys, tmp_path, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "dist", str(bad))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_file_exit_code(self, capsys):
         code, _, err = run(capsys, "dist", "no-such-file.json")
@@ -146,6 +200,20 @@ class TestLift:
         assert "wasserstein 2" in out
         assert "gap 2" in out
 
+    def test_both_lifts_each_method_once(self, capsys, monkeypatch):
+        built = []
+
+        class Counting(lifting.LiftingEngine):
+            def __init__(self, *args, **kwargs):
+                built.append(args[2])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(lifting, "LiftingEngine", Counting)
+        code, out, err = run(capsys, "lift", str(DATA / "counterexample.json"), "--both")
+        assert code == 0 and err == ""
+        assert out == "kantorovich 0\nwasserstein 2\ngap 2\n"
+        assert sorted(built) == ["kantorovich", "wasserstein"]
+
     def test_single_method(self, capsys):
         code, out, _ = run(
             capsys, "lift", str(DATA / "counterexample.json"),
@@ -184,6 +252,12 @@ class TestCheck:
         code, _, err = run(capsys, "check", "bogus")
         assert code == 1
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_no_instances_is_validation_error(self, capsys, n):
+        code, out, err = run(capsys, "check", "k-le-w", "--n", n)
+        assert code == 1 and out == ""
+        assert err == f"error: n must be >= 1, got {n}\n"
+
     def test_check_determinism(self, capsys):
         _, out1, _ = run(capsys, "check", "k-le-w", "--seed", "3", "--n", "4")
         _, out2, _ = run(capsys, "check", "k-le-w", "--seed", "3", "--n", "4")
@@ -191,6 +265,13 @@ class TestCheck:
 
 
 class TestTrace:
+    def test_strict_unconverged_exit_code(self, capsys):
+        code, out, _ = run(
+            capsys, "trace", str(DATA / "fig1_left.json"), "--eps", "1/20",
+            "--exact", "--max-iter", "1", "--strict",
+        )
+        assert code == 3 and out.startswith("iteration,state1,state2,distance\n")
+
     def test_trace_csv(self, capsys):
         code, out, _ = run(
             capsys, "trace", str(DATA / "fig1_left.json"), "--eps", "1/20", "--exact"

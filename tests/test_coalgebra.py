@@ -190,6 +190,13 @@ class TestMetricTs:
         with pytest.raises(SchemaError):
             MetricTS(("s",), [("r", table)], {"s": {"r": "nope"}}, {"s": frozenset()})
 
+    def test_finite_top_table_rejected(self):
+        # JSON propositions are always read under top = inf
+        table = PseudometricTable(["p", "q"], {("p", "q"): Value(F(1))}, TOP_ONE)
+        with pytest.raises(SchemaError) as err:
+            MetricTS(("s",), [("r", table)], {"s": {"r": "p"}}, {"s": frozenset()})
+        assert str(err.value) == "propositions[r]: tables must use top = inf"
+
     def test_compiles_and_validates(self):
         table = PseudometricTable(
             ["p", "q"], {("p", "q"): Value(F(1))}, TOP_INF
@@ -341,6 +348,19 @@ class TestRoundTrip:
         )
         sys_ = from_metric_ts(m)
         assert load_system(serialize(sys_)) == sys_
+
+    def test_diag_square_round_trip(self):
+        doc = {
+            "kind": "system", "top": "inf",
+            "spaces": {"k": {"carrier": ["a", "b"], "d": [["a", "b", "2"]]}},
+            "expr": {"diagsquare": {"coproduct": [{"id": {"discount": "1/2"}}, {"const": "k"}]}},
+            "states": ["s", "t"],
+            "alpha": {"s": {"pair": [{"left": "t"}, {"right": "a"}]},
+                      "t": {"pair": [{"right": "b"}, {"left": "s"}]}},
+        }
+        sys_ = load_system(doc)
+        assert serialize(sys_) == doc
+        assert load_system(json.dumps(serialize(sys_))) == sys_
 
     def test_loader_outputs_validate(self):
         sys_ = load_system(FIG1_LEFT, eps=F(1, 20))

@@ -191,6 +191,11 @@ class TestIterationBehavior:
         with pytest.raises(ValueError, match="workers"):
             IterationOptions(workers=2)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            IterationOptions(tol=tol)
+
 
 # an exact entry 11/48 is followed by its p-norm double, just below it
 PNORM_DOC = """{"kind": "system", "top": "1", "spaces": {"k": {"carrier": ["p", "q", "r"], "d": [["p", "q", "1/8"], ["p", "r", "1/8"], ["q", "r", "1/4"]]}}, "expr": {"dist": {"coproduct": [{"product": {"left": {"id": {"discount": "2/5"}}, "right": {"id": {"discount": "3/10"}}, "eval": {"pnorm": {"p": 2, "c1": "1/2", "c2": "1/2"}}}}, {"const": "k"}]}}, "states": ["s0", "s1", "s2", "s3"], "alpha": {"s0": {"dist": [[{"left": {"pair": ["s2", "s3"]}}, "1/2"], [{"right": "r"}, "1/2"]]}, "s1": {"dist": [[{"left": {"pair": ["s1", "s1"]}}, "2/5"], [{"left": {"pair": ["s3", "s0"]}}, "1/10"], [{"right": "r"}, "1/2"]]}, "s2": {"dist": [[{"right": "q"}, "1"]]}, "s3": {"dist": [[{"left": {"pair": ["s1", "s0"]}}, "1/3"], [{"right": "p"}, "2/3"]]}}}"""
@@ -374,6 +379,20 @@ class TestBisimilarity:
     def test_single_state(self):
         p = ProbTS(("s",), {}, {"s": F(1)}, F(1, 2))
         assert bisimilarity_partition(p) == [("s",)]
+
+    def test_zero_weight_is_no_transition(self):
+        # x's explicit zero towards z must not enter its signature
+        p = ProbTS(
+            ("x", "y", "u", "z"),
+            {"x": {"u": 1, "z": 0}, "y": {"u": 1}, "u": {"u": 1}},
+            {"z": 1},
+            F(1, 2),
+        )
+        assert p.transitions["x"] == {"u": 1}
+        assert bisimilarity_partition(p) == [("z",), ("x", "y", "u")]
+        m = behavioral_distances(from_prob_ts(p))
+        assert m.get("x", "y").is_zero
+        assert same_partition(kernel_partition(m), bisimilarity_partition(p))
 
     def test_agrees_with_kernel_on_random_systems(self):
         rng = random.Random(77)

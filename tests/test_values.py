@@ -183,6 +183,12 @@ class TestModes:
         with pytest.raises(ConfigurationError):
             NumericMode.approx(0.0)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_non_finite_tolerance(self, tol):
+        # under inf every step is below it, so iteration would stop at once
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            NumericMode.approx(tol)
+
 
 def test_scale_infinity():
     assert scale(Value(INF), F(1, 2)).is_infinite
