@@ -293,7 +293,7 @@ def expr_from_json(doc, spaces, bound, path="expr") -> FunctorExpr:
     sub = f"{path}.{kind}"
     if kind == "id":
         if not isinstance(body, dict):
-            return Id(Fraction(1))
+            raise SchemaError(sub, f"expected {{discount?}}, got {body!r}")
         try:
             return Id(parse_weight(body.get("discount", "1"), path=sub + ".discount"))
         except ConfigurationError as exc:
@@ -531,11 +531,22 @@ def _object_field(doc: dict, key, path=None) -> dict:
     return value
 
 
+def _known_sources(field: dict, states, name) -> None:
+    """Every key of a per-state field is a state: an entry for any other
+    name would be dropped without a word."""
+    known = set(states)
+    for s in field:
+        if s not in known:
+            raise SchemaError(f"{name}[{s}]", f"unknown state {s!r}")
+
+
 def _parse_prob_ts(doc, eps=None, c=None) -> ProbTS:
     c_val = Fraction(c) if c is not None else parse_weight(doc.get("c", "1/2"), eps, "c")
     states = _atom_list(doc.get("states"), "states")
     transitions_doc = _object_field(doc, "transitions")
     terminate_doc = _object_field(doc, "terminate")
+    _known_sources(transitions_doc, states, "transitions")
+    _known_sources(terminate_doc, states, "terminate")
     transitions = {
         s: {
             tgt: parse_weight(w, eps, f"transitions[{s}][{tgt}]")
@@ -558,11 +569,13 @@ def _parse_metric_ts(doc) -> MetricTS:
         for name, sdoc in _object_field(doc, "propositions").items()
     ]
     valuation_doc = _object_field(doc, "valuation")
+    _known_sources(valuation_doc, states, "valuation")
     valuation = {
         s: dict(_object_field(valuation_doc, s, f"valuation[{s}]"))
         for s in states
     }
     tau_doc = _object_field(doc, "tau")
+    _known_sources(tau_doc, states, "tau")
     tau = {}
     for s in states:
         try:

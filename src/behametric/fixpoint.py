@@ -2,7 +2,10 @@
 
 Starting from the zero pseudometric, each step lifts the current table
 through the system's functor expression and evaluates at the pairs of
-transition structures.  The sequence is monotone nondecreasing; iteration
+transition structures.  After the first step a pair is lifted again only
+when an entry its lift reads moved in the step before; the others keep
+their last lifted value, so every step sees the values a full re-lift
+would give.  The sequence is monotone nondecreasing; iteration
 stops at an exact fixed point (exact mode), at residual < the mode's
 tolerance (float mode), or at the iteration cap, in which case the result
 is returned unconverged rather than raised.
@@ -11,12 +14,13 @@ is returned unconverged rather than raised.
 from __future__ import annotations
 
 import io
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from .coalgebra import ProbTS, System
-from .functors import PseudometricTable
+from .functors import PseudometricTable, walk_atoms
 from .lifting import WASSERSTEIN, LiftingEngine
 from .values import (
     ZERO,
@@ -74,10 +78,16 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
     converged = len(pairs) == 0
     iterations = 0
     store = {}  # each Dist pair's transport, warm from the iteration before
+    reads = _reads(sys)
+    lifted = [None] * len(pairs)  # each pair's last lift, before clamp and rounding
+    todo = range(len(pairs))  # positions of the pairs to lift: at first all
     for iterations in range(1, opts.max_iter + 1):
-        entries = {}
+        fresh = _lift_pairs(sys, current, opts.method, [pairs[k] for k in todo], store)
+        for k, v in zip(todo, fresh):
+            lifted[k] = v
+        changes = {}
         residual = ZERO
-        for (a, b), v in zip(pairs, _lift_pairs(sys, current, opts.method, pairs, store)):
+        for (a, b), v in zip(pairs, lifted):
             prev = current.get(a, b)
             step = dist_e(v, prev)
             if v < prev:
@@ -90,14 +100,18 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
                 residual = step
             if not mode.is_exact:
                 v = _round_value(v)
-            entries[(a, b)] = v
-        current = PseudometricTable(states, entries, bound)
+            # a double equal to a Fraction still moves: lifts read its type
+            if v is not prev and (type(v.mag) is not type(prev.mag) or v.mag != prev.mag):
+                changes[(a, b)] = v
+        current = current.updated(changes)
         if opts.trace:
             trace.append(current)
         # exact: no entry changed; float: the largest step is below tol
         converged = residual.is_zero if mode.is_exact else residual.as_float() < tol
         if converged:
             break
+        # only a pair that reads a moved entry can lift to a new value
+        todo = _reading(pairs, reads, changes)
     if not pairs:
         iterations = 1 if states else 0
         converged = True
@@ -106,8 +120,32 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
     )
 
 
+def _reads(sys: System) -> dict:
+    """State -> the set of carrier atoms at the Id nodes of its structure.
+    The lift of a pair (a, b) reads the table only at (x, y) for x in
+    reads[a] and y in reads[b]: every node lifts a part of the first
+    structure against a part of the second."""
+    reads = {}
+    for s in sys.states:
+        atoms = reads[s] = set()
+        walk_atoms(sys.expr, sys.alpha[s], lambda x, _: atoms.add(x))
+    return reads
+
+
+def _reading(pairs, reads, changes) -> list:
+    """The positions in pairs of the pairs whose lift reads an entry of
+    changes: (a, b) reads (x, y) for x in reads[a] and y in reads[b]."""
+    moved = defaultdict(set)  # atom -> the atoms whose entry with it moved
+    for x, y in changes:
+        moved[x].add(y)
+        moved[y].add(x)
+    # near[b]: each x whose entry with some y in reads[b] moved
+    near = {b: set().union(*(moved.get(y, ()) for y in reads[b])) for b in reads}
+    return [k for k, (a, b) in enumerate(pairs) if not near[b].isdisjoint(reads[a])]
+
+
 def _lift_pairs(sys: System, table: PseudometricTable, method: str, pairs, store=None) -> list:
-    """One lifting step: the lifted distance of every state pair, its
+    """One lifting step: the lifted distance of each given state pair, its
     transports kept in store for the next step when one is given."""
     engine = LiftingEngine(sys.expr, table, method, store)
     return [engine.dist(sys.alpha[a], sys.alpha[b]) for a, b in pairs]

@@ -9,9 +9,12 @@ use Tagged, distributions use Distribution).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 from .values import (
     ZERO,
@@ -118,19 +121,30 @@ def sorted_structs(xs):
 # pseudometric tables
 
 
+@lru_cache(maxsize=64)
+def _offsets(n: int) -> tuple:
+    """The entry of positions i < j of a flat table on n atoms is at
+    _offsets(n)[i] + j: row i, the entries j = i+1 .. n-1, follows the
+    n-1 + ... + n-i entries of rows 0 .. i-1.  Shared by every table of n
+    atoms."""
+    return tuple(i * n - i * (i + 1) // 2 - i - 1 for i in range(n))
+
+
 class PseudometricTable:
     """Symmetric distance table with zero diagonal on a finite carrier.
 
-    Entries are dense rows by carrier position: ``_index`` maps an atom to
-    its position and ``_rows[i][j]`` = ``_rows[j][i]`` (one shared Value) is
-    their distance.  Every entry is checked against the table's TopBound
-    and the pseudometric axioms are validated on construction.  The
-    triangle check compares integers, the magnitudes scaled by the LCM of
-    their denominators, unless some are doubles (float-mode entries,
+    ``_index`` maps an atom to its carrier position.  Each entry above the
+    diagonal is stored once, row by row, in ``_flat``: the distance of the
+    atoms at positions i < j is ``_flat[_offset[i] + j]``, and ``_diag``
+    holds the diagonal.  Every entry is checked against the table's
+    TopBound and the pseudometric axioms are validated on construction.
+    The triangle check compares integers, the magnitudes scaled by the LCM
+    of their denominators, unless some are doubles (float-mode entries,
     irrational p-norm roots); flagged triples are re-judged as Values, so
     verdicts and messages are those of Value arithmetic.  A triple holding a
     double may miss by the gap of rounding_slack(rhs) that rounding opens;
-    exact triples are judged exactly.
+    exact triples are judged exactly.  ``updated`` builds the next table
+    of an iteration from the entries that moved.
     """
 
     def __init__(self, carrier, entries, bound: TopBound, check: bool = True):
@@ -140,35 +154,61 @@ class PseudometricTable:
             raise ShapeError("duplicate carrier atoms")
         self.bound = bound
         n = len(self.carrier)
-        rows = [[None] * n for _ in range(n)]
+        self._offset = _offsets(n)
+        flat, diag = [None] * (n * (n - 1) // 2), [None] * n
         for (a, b), v in entries.items():
-            i, j = self._index.get(a), self._index.get(b)
-            if i is None or j is None:
-                raise ShapeError(f"unknown atom in entry ({a!r}, {b!r})")
-            v = bound.check(v if isinstance(v, Value) else exact(v))
-            if rows[i][j] is not None and rows[i][j] != v:
+            i, j, v = self._entry(a, b, v)
+            cells, k = (diag, i) if i == j else (flat, self._offset[i] + j)
+            if cells[k] is not None and cells[k] != v:
                 key = (a, b) if a <= b else (b, a)
                 raise ShapeError(f"conflicting entries for {key}")
-            rows[i][j] = rows[j][i] = v
+            cells[k] = v
         for i, a in enumerate(self.carrier):
-            if rows[i][i] is not None and not rows[i][i].is_zero:
+            if diag[i] is not None and not diag[i].is_zero:
                 raise ShapeError(f"nonzero diagonal at {a!r}")
-        self._rows = [[ZERO if v is None else v for v in row] for row in rows]
+        self._flat = [ZERO if v is None else v for v in flat]
+        self._diag = [ZERO if v is None else v for v in diag]
         if check:
             self._check_triangle()
 
+    def _entry(self, a, b, v):
+        """(i, j, v): the positions of a and b, lower first, and v checked
+        against the bound."""
+        i, j = self._index.get(a), self._index.get(b)
+        if i is None or j is None:
+            raise ShapeError(f"unknown atom in entry ({a!r}, {b!r})")
+        v = self.bound.check(v if isinstance(v, Value) else exact(v))
+        return (i, j, v) if i <= j else (j, i, v)
+
+    def _row(self, i) -> list:
+        """The distances from the atom at position i to every atom, in
+        carrier order."""
+        flat, off = self._flat, self._offset
+        start = off[i] + i + 1
+        return ([flat[off[k] + i] for k in range(i)] + [self._diag[i]]
+                + flat[start:start + len(self.carrier) - i - 1])
+
+    @staticmethod
+    def _scaled(rows):
+        """The rows of Values in ``rows``, {position: row}, as magnitudes:
+        integers scaled by the LCM of the rows' finite denominators, or as
+        they are when some are doubles.  INF counts as an integer above any
+        sum of two finite entries of the rows (not as inf: int + inf raises
+        once the scaled integers pass 2**1024)."""
+        finite = [v.mag for row in rows.values() for v in row if not v.is_infinite]
+        if all(type(m) is Fraction for m in finite):
+            lcm = math.lcm(*{m.denominator for m in finite})
+            finite = [m.numerator * (lcm // m.denominator) for m in finite]
+        big = 4 * max(finite, default=0) + 1
+        scaled = iter(finite)
+        return {i: [big if v.is_infinite else next(scaled) for v in row] for i, row in rows.items()}
+
     def _check_triangle(self):
-        """INF counts as an integer above any sum of two finite entries (not
-        as inf: int + inf raises once the scaled integers pass 2**1024).
-        Only i < k is visited: (i, j, k) and (k, j, i) fail together, so the
-        first failure is the first among all permutations."""
-        rows, n = self._rows, len(self.carrier)
-        finite = [v.mag for row in rows for v in row if not v.is_infinite]
-        exact = all(isinstance(m, Fraction) for m in finite)
-        lcm = math.lcm(*{m.denominator for m in finite}) if exact else 1
-        conv = (lambda m: m.numerator * (lcm // m.denominator)) if exact else (lambda m: m)
-        big = 4 * conv(max(finite, default=Fraction(0))) + 1
-        mags = [[big if v.is_infinite else conv(v.mag) for v in row] for row in rows]
+        """Only i < k is visited: (i, j, k) and (k, j, i) fail together, so
+        the first failure is the first among all permutations."""
+        n = len(self.carrier)
+        rows = {i: self._row(i) for i in range(n)}
+        mags = self._scaled(rows)
         for i in range(n):
             ri = mags[i]
             for j in range(n):
@@ -185,17 +225,57 @@ class PseudometricTable:
                                 f"d({a},{b})+d({b},{c})={rhs}"
                             )
 
+    def updated(self, changes) -> "PseudometricTable":
+        """This table with the entries of ``changes``, {(a, b): value},
+        replaced; the Values of the others are shared.  Only the changed
+        entries are checked against the bound.  When fewer than half the
+        entries change, only the triangles that hold one are screened, with
+        the integers of the full check, and a flagged triangle hands the
+        verdict to the full check; so a table is accepted or refused, with
+        the same message, as a full build of its entries would be.  The
+        triangles screened are all the ones that can fail when this table
+        passed its own check."""
+        new = copy.copy(self)
+        flat = new._flat = self._flat[:]
+        edges = []
+        for (a, b), v in changes.items():
+            i, j, v = self._entry(a, b, v)
+            if i == j:
+                if not v.is_zero:
+                    raise ShapeError(f"nonzero diagonal at {a!r}")
+                continue
+            flat[self._offset[i] + j] = v
+            edges.append((i, j))
+        if 2 * len(edges) >= len(flat):
+            # the screen does about twice the full check's work per entry
+            new._check_triangle()
+            return new
+        mags = new._scaled({k: new._row(k) for k in {k for edge in edges for k in edge}})
+        for i, j in edges:
+            mi, mj = mags[i], mags[j]
+            dij = mi[j]
+            # rows i and j hold every side of each triangle on the edge (i, j)
+            for dik, djk in zip(mi, mj):
+                if dij > dik + djk or dik > dij + djk or djk > dij + dik:
+                    new._check_triangle()
+                    return new
+        return new
+
     def get(self, a, b) -> Value:
         try:
-            return self._rows[self._index[a]][self._index[b]]
+            i, j = self._index[a], self._index[b]
         except KeyError:
             raise ShapeError(f"atoms {a!r}, {b!r} not in carrier") from None
+        if i < j:
+            return self._flat[self._offset[i] + j]
+        if i > j:
+            return self._flat[self._offset[j] + i]
+        return self._diag[i]
 
     def entries(self):
-        for i, a in enumerate(self.carrier):
-            row = self._rows[i]
-            for j in range(i + 1, len(self.carrier)):
-                yield a, self.carrier[j], row[j]
+        """(a, b, distance) for each pair of atoms a before b in the carrier."""
+        for (a, b), v in zip(combinations(self.carrier, 2), self._flat):
+            yield a, b, v
 
     def relabel(self, mapping) -> "PseudometricTable":
         """Rename carrier atoms along a bijection."""
@@ -324,13 +404,22 @@ def check_expr_bound(expr: FunctorExpr, bound: TopBound) -> None:
 def validate(expr: FunctorExpr, carrier, t, path="t") -> None:
     """Accept iff t is a well-formed element of F(carrier)."""
     carrier = set(carrier)
-    _validate(expr, carrier, t, path)
+
+    def in_carrier(x, where):
+        if not isinstance(x, str) or x not in carrier:
+            raise ShapeError(f"{x!r} is not a carrier atom", where)
+
+    walk_atoms(expr, t, in_carrier, path)
 
 
-def _validate(expr, carrier, t, path):
+def walk_atoms(expr: FunctorExpr, t, visit, path="t") -> None:
+    """Check that t has the shape of expr, and call visit(x, its path) for
+    each part x of t at an Id node, in preorder: those are the atoms at
+    which a lifting of t reads the ground table.  A part whose shape does
+    not fit its node raises ShapeError at its path when the walk gets
+    there; visit judges the atoms."""
     if isinstance(expr, Id):
-        if not isinstance(t, str) or t not in carrier:
-            raise ShapeError(f"{t!r} is not a carrier atom", path)
+        visit(t, path)
     elif isinstance(expr, Const):
         if not isinstance(t, str) or t not in expr.space.carrier:
             raise ShapeError(f"{t!r} is not an atom of constant space {expr.name!r}", path)
@@ -338,23 +427,23 @@ def _validate(expr, carrier, t, path):
         if not isinstance(t, Distribution):
             raise ShapeError(f"expected a distribution, got {t!r}", path)
         for x, _ in t.items:
-            _validate(expr.sub, carrier, x, f"{path}.support[{x!r}]")
+            walk_atoms(expr.sub, x, visit, f"{path}.support[{x!r}]")
     elif isinstance(expr, FinPow):
         if not isinstance(t, frozenset):
             raise ShapeError(f"expected a frozenset, got {t!r}", path)
         for x in sorted_structs(t):
-            _validate(expr.sub, carrier, x, f"{path}.{x!r}")
+            walk_atoms(expr.sub, x, visit, f"{path}.{x!r}")
     elif isinstance(expr, (Product, DiagSquare)):
         if not (isinstance(t, tuple) and len(t) == 2):
             raise ShapeError(f"expected a pair, got {t!r}", path)
         sides = (expr.left, expr.right) if isinstance(expr, Product) else (expr.sub, expr.sub)
         for k, side in enumerate(sides):
-            _validate(side, carrier, t[k], f"{path}[{k}]")
+            walk_atoms(side, t[k], visit, f"{path}[{k}]")
     elif isinstance(expr, Coproduct):
         if not isinstance(t, Tagged):
             raise ShapeError(f"expected a tagged value, got {t!r}", path)
         side = expr.left if t.tag == "left" else expr.right
-        _validate(side, carrier, t.value, f"{path}.{t.tag}")
+        walk_atoms(side, t.value, visit, f"{path}.{t.tag}")
     else:
         raise ShapeError(f"unknown expression node {expr!r}", path)
 

@@ -157,12 +157,20 @@ class Value:
         return self.mag if isinstance(self.mag, Fraction) else Fraction(self.mag)
 
     # -- ordering (a > b and a >= b fall back to b < a and b <= a) -----------
+    # Two Fractions cross-multiply (denominators are positive): Fraction's
+    # own comparison first runs an ABC isinstance test on the other operand.
 
     def __lt__(self, other: "Value") -> bool:
-        return self.mag < other.mag
+        a, b = self.mag, other.mag
+        if type(a) is Fraction and type(b) is Fraction:
+            return a.numerator * b.denominator < b.numerator * a.denominator
+        return a < b
 
     def __le__(self, other: "Value") -> bool:
-        return self.mag <= other.mag
+        a, b = self.mag, other.mag
+        if type(a) is Fraction and type(b) is Fraction:
+            return a.numerator * b.denominator <= b.numerator * a.denominator
+        return a <= b
 
     def __repr__(self):
         return f"Value({format_magnitude(self.mag)})"

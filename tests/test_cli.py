@@ -110,9 +110,19 @@ class TestDist:
                 "alpha.s.set: expected a list, got 's'",
             ),
             (["x", "y"], "$: expected a JSON object"),
+            (
+                {"top": "1", "expr": {"dist": {"id": "junk"}}, "states": [], "alpha": {}},
+                "expr.dist.id: expected {discount?}, got 'junk'",
+            ),
+            (
+                {"kind": "prob_ts", "states": ["x"], "transitions": {"x": {"x": "1"}},
+                 "terminate": {"q": "1"}},
+                "terminate[q]: unknown state 'q'",
+            ),
         ],
         ids=["duplicate-states", "unknown-target", "no-propositions", "product-sides",
-             "pnorm-p", "pnorm-weight", "set-body", "non-object"],
+             "pnorm-p", "pnorm-weight", "set-body", "non-object", "id-body",
+             "unknown-source"],
     )
     def test_malformed_document_names_its_path(self, capsys, tmp_path, doc, message):
         bad = tmp_path / "bad.json"

@@ -277,6 +277,46 @@ class TestLoadSystem:
         assert err.value.path == path
         assert str(err.value).startswith(f"{path}: expected a JSON object")
 
+    def test_non_object_id_body_rejected_with_path(self):
+        doc = {"top": "1", "expr": {"dist": {"id": "junk"}}, "states": [], "alpha": {}}
+        with pytest.raises(SchemaError) as err:
+            load_system(doc)
+        assert err.value.path == "expr.dist.id"
+        assert str(err.value) == "expr.dist.id: expected {discount?}, got 'junk'"
+
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("transitions", {"x": {"u": "1"}, "q": {"u": "1"}}, "transitions[q]"),
+            ("terminate", {"z": "1", "q": "1"}, "terminate[q]"),
+        ],
+    )
+    def test_prob_ts_entry_of_unknown_state_rejected(self, field, value, path):
+        doc = dict(FIG1_LEFT, **{field: value})
+        with pytest.raises(SchemaError) as err:
+            load_system(doc, eps=F(1, 20))
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: unknown state 'q'"
+
+    @pytest.mark.parametrize(
+        "field, value, path",
+        [
+            ("valuation", {"s": {"r": "a"}, "q": {"r": "a"}}, "valuation[q]"),
+            ("tau", {"s": ["s"], "q": ["s"]}, "tau[q]"),
+        ],
+    )
+    def test_metric_ts_entry_of_unknown_state_rejected(self, field, value, path):
+        doc = {
+            "kind": "metric_ts", "states": ["s"],
+            "propositions": {"r": {"carrier": ["a"]}},
+            "valuation": {"s": {"r": "a"}}, "tau": {"s": ["s"]},
+        }
+        load_system(doc)
+        with pytest.raises(SchemaError) as err:
+            load_system(dict(doc, **{field: value}))
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: unknown state 'q'"
+
     def test_metric_ts_non_object_rejected_with_path(self):
         doc = {"kind": "metric_ts", "states": ["s"], "tau": ["s"]}
         with pytest.raises(SchemaError) as err:

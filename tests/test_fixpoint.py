@@ -1,6 +1,9 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction as F
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from behametric.coalgebra import (
 )
 from behametric.fixpoint import (
     IterationOptions,
+    _rounded_below,
     UnconvergedError,
     behavioral_distances,
     bisimilarity_partition,
@@ -34,11 +38,24 @@ from behametric.functors import (
     PNormEval,
     Product,
     PseudometricTable,
+    ShapeError,
     Tagged,
     sorted_structs,
 )
-from behametric.suites import random_prob_ts
-from behametric.values import EXACT, NumericMode, TOP_INF, TOP_ONE, TopBound, Value
+from behametric.lifting import KANTOROVICH, WASSERSTEIN, LiftingEngine
+from behametric.suites import random_metric_ts, random_prob_ts
+from behametric.values import (
+    EXACT,
+    INF,
+    ZERO,
+    ConfigurationError,
+    NumericMode,
+    TOP_INF,
+    TOP_ONE,
+    TopBound,
+    Value,
+    dist_e,
+)
 
 
 def fig1_left(c=F(9, 10), eps=F(1, 20)):
@@ -294,6 +311,168 @@ class TestWarmTransport:
         assert matrix_to_csv(warm) == matrix_to_csv(ref)
         assert trace_to_csv(warm) == trace_to_csv(ref)
         assert matrix_to_json(warm) == matrix_to_json(ref)
+
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+# the demo systems; lift instances hold a "space" instead
+DEMO_SYSTEMS = [
+    (path.name, path.read_text())
+    for path in sorted(DATA.glob("*.json"))
+    if "space" not in json.loads(path.read_text())
+]
+
+
+def jacobi_reference(sys_, opts):
+    """Plain Jacobi iteration: every pair re-lifted each step by a fresh
+    engine with cold transports, then the clamp and the rounding of
+    behavioral_distances.  Returns (trace, iterations, converged, residual)."""
+    mode = sys_.mode
+    tol = mode.tolerance if opts.tol is None else opts.tol
+    pairs = list(combinations(sys_.states, 2))
+    table = PseudometricTable(sys_.states, {}, sys_.top, check=False)
+    trace = [table]
+    residual, converged, iterations = ZERO, not pairs, 0
+    for iterations in range(1, opts.max_iter + 1):
+        engine = LiftingEngine(sys_.expr, table, opts.method)
+        entries, residual = {}, ZERO
+        for a, b in pairs:
+            v, prev = engine.dist(sys_.alpha[a], sys_.alpha[b]), table.get(a, b)
+            step = dist_e(v, prev)
+            if v < prev:
+                assert _rounded_below(v, prev)
+                v, step = prev, ZERO
+            residual = max(residual, step)
+            entries[(a, b)] = v if mode.is_exact else Value(float(v.mag))
+        table = PseudometricTable(sys_.states, entries, sys_.top)
+        trace.append(table)
+        converged = residual.is_zero if mode.is_exact else residual.as_float() < tol
+        if converged:
+            break
+    return trace, iterations, converged, residual
+
+
+def _typed(v):
+    """A Value as (type, magnitude): a double equal to a Fraction differs."""
+    return type(v.mag), v.mag
+
+
+def _typed_entries(table):
+    return [(a, b, _typed(v)) for a, b, v in table.entries()]
+
+
+class TestIncrementalIteration:
+    """A pair is re-lifted only when an entry its lift reads moved; every
+    step still equals a plain Jacobi step that re-lifts every pair."""
+
+    def assert_same_as_jacobi(self, sys_, opts):
+        opts = dataclasses.replace(opts, trace=True)
+        m = behavioral_distances(sys_, opts)
+        trace, iterations, converged, residual = jacobi_reference(sys_, opts)
+        assert (m.iterations, m.converged) == (iterations, converged)
+        assert _typed(m.residual) == _typed(residual)
+        assert [_typed_entries(t) for t in m.trace] == [_typed_entries(t) for t in trace]
+
+    @pytest.mark.parametrize("mode", [EXACT, NumericMode.approx(1e-9)], ids=["exact", "float"])
+    def test_prob_ts(self, mode):
+        for seed in range(12):
+            p = random_prob_ts(random.Random(seed), 6, F(9, 10))
+            self.assert_same_as_jacobi(from_prob_ts(p, mode), IterationOptions(max_iter=40))
+
+    def test_metric_ts(self):
+        for seed in range(30):
+            m = random_metric_ts(random.Random(seed), 8)
+            self.assert_same_as_jacobi(from_metric_ts(m), IterationOptions())
+
+    def test_pnorm_systems(self):
+        # doubles in exact mode: an entry may turn into its equal double
+        for seed in range(300, 330):
+            for mode in (EXACT, NumericMode.approx(1e-9)):
+                self.assert_same_as_jacobi(pnorm_system(seed, mode), IterationOptions(max_iter=60))
+
+    @pytest.mark.parametrize("name, text", DEMO_SYSTEMS, ids=[n for n, _ in DEMO_SYSTEMS])
+    @pytest.mark.parametrize("method", [KANTOROVICH, WASSERSTEIN])
+    @pytest.mark.parametrize("mode", [EXACT, NumericMode.approx(1e-9)], ids=["exact", "float"])
+    def test_demo_systems(self, name, text, method, mode):
+        sys_ = load_system(text, mode=mode, eps=F(1, 20))  # the eps of the CLI examples
+        self.assert_same_as_jacobi(sys_, IterationOptions(method=method))
+
+    def test_unmoved_pairs_are_not_lifted(self, monkeypatch):
+        from behametric import fixpoint
+
+        lifts = [0]
+        lift_pairs = fixpoint._lift_pairs
+
+        def counted(sys_, table, method, pairs, store=None):
+            lifts[0] += len(pairs)
+            return lift_pairs(sys_, table, method, pairs, store)
+
+        monkeypatch.setattr(fixpoint, "_lift_pairs", counted)
+        sys_ = from_metric_ts(random_metric_ts(random.Random(3), 8))
+        m = behavioral_distances(sys_)
+        pairs = len(sys_.states) * (len(sys_.states) - 1) // 2
+        assert m.converged and m.iterations > 2
+        assert lifts[0] < pairs * m.iterations
+
+
+class TestUpdatedTable:
+    """PseudometricTable.updated judges a table as a full build of the same
+    entries does."""
+
+    def base(self):
+        pos = {"a": F(0), "b": F(1), "c": F(2), "d": F(3)}
+        return PseudometricTable(
+            "abcd", {(x, y): Value(abs(pos[x] - pos[y])) for x, y in combinations("abcd", 2)},
+            TOP_INF,
+        )
+
+    def full_build(self, table, changes):
+        entries = {(a, b): v for a, b, v in table.entries()}
+        for (a, b), v in changes.items():
+            entries.pop((b, a), None)
+            entries[(a, b)] = v
+        return PseudometricTable(table.carrier, entries, table.bound)
+
+    @pytest.mark.parametrize("changes", [
+        {("a", "d"): Value(F(7))},
+        {("b", "c"): Value(F(5)), ("a", "d"): Value(F(5))},
+        {("a", "b"): Value(INF)},
+        {("c", "d"): Value(F(1, 3)), ("a", "b"): Value(F(1, 3))},
+        {("b", "a"): Value(F(1, 3))},
+        {("c", "d"): Value(F(1, 3))},
+        {(x, y): Value(F(7 if x + y == "ad" else 1)) for x, y in combinations("abcd", 2)},
+    ], ids=["long-side", "two-edges", "infinite", "short-sides", "reversed-key", "short-last",
+            "every-edge"])
+    def test_violation_raises_the_full_build_message(self, changes):
+        table = self.base()
+        with pytest.raises(ShapeError) as full:
+            self.full_build(table, changes)
+        with pytest.raises(ShapeError) as fast:
+            table.updated(changes)
+        assert str(fast.value) == str(full.value)
+
+    def test_accepted_change_matches_the_full_build(self):
+        table = self.base()
+        changes = {("a", "d"): Value(F(5, 2)), ("b", "c"): Value(F(3, 2))}
+        new = table.updated(changes)
+        assert list(new.entries()) == list(self.full_build(table, changes).entries())
+        assert table.get("a", "d") == Value(F(3))  # the old table is untouched
+
+    def test_rounding_gap_accepted_as_by_the_full_build(self):
+        table = PseudometricTable("abc", {("a", "b"): Value(0.1), ("b", "c"): Value(0.2),
+                                          ("a", "c"): Value(0.3)}, TOP_ONE)
+        changes = {("a", "c"): Value(0.30000000000000004)}
+        assert list(table.updated(changes).entries()) == list(
+            self.full_build(table, changes).entries()
+        )
+
+    def test_entries_checked_against_the_bound(self):
+        table = self.base()
+        with pytest.raises(ConfigurationError):
+            PseudometricTable("ab", {}, TOP_ONE).updated({("a", "b"): Value(F(2))})
+        with pytest.raises(ShapeError, match="unknown atom"):
+            table.updated({("a", "z"): Value(F(1))})
+        with pytest.raises(ShapeError, match="nonzero diagonal"):
+            table.updated({("a", "a"): Value(F(1))})
 
 
 def _with_entry(m, a, b, v):

@@ -90,6 +90,18 @@ class TestValueInvariants:
         with pytest.raises(ConfigurationError):
             TopBound.finite(0)
 
+    def test_ordering_matches_the_magnitudes(self):
+        # two Fractions take the cross-multiplied path, any other pair
+        # Python's own comparison; both must order as < and <= do
+        mags = [F(0), F(1, 3), F(2, 6), F(1, 2), F(3, 7), F(10**30 + 1, 10**30),
+                0.0, 1 / 3, 0.5, 1.0, 1e300, INF]
+        for a in mags:
+            for b in mags:
+                assert (Value(a) < Value(b)) == (a < b), (a, b)
+                assert (Value(a) <= Value(b)) == (a <= b), (a, b)
+                assert (Value(a) > Value(b)) == (a > b), (a, b)
+                assert (Value(a) >= Value(b)) == (a >= b), (a, b)
+
 
 grid_one = st.fractions(min_value=0, max_value=1, max_denominator=50)
 mag_inf = st.one_of(
