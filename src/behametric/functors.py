@@ -192,13 +192,15 @@ class PseudometricTable:
     def _scaled(rows):
         """The rows of Values in ``rows``, {position: row}, as magnitudes:
         integers scaled by the LCM of the rows' finite denominators, or as
-        they are when some are doubles.  INF counts as an integer above any
-        sum of two finite entries of the rows (not as inf: int + inf raises
-        once the scaled integers pass 2**1024)."""
+        they are when some are doubles, but zero as the int 0.  INF counts as
+        an integer above any sum of two finite entries of the rows (not as
+        inf: int + inf raises once the scaled integers pass 2**1024)."""
         finite = [v.mag for row in rows.values() for v in row if not v.is_infinite]
         if all(type(m) is Fraction for m in finite):
             lcm = math.lcm(*{m.denominator for m in finite})
             finite = [m.numerator * (lcm // m.denominator) for m in finite]
+        else:  # no Fraction arithmetic with doubles
+            finite = [m or 0 for m in finite]
         big = 4 * max(finite, default=0) + 1
         scaled = iter(finite)
         return {i: [big if v.is_infinite else next(scaled) for v in row] for i, row in rows.items()}

@@ -1,19 +1,20 @@
-"""Exact-rational transportation: move supply to demand at minimum cost.
+"""Exact transportation: move supply to demand at minimum cost.
 
 ``solve_transportation`` is a transportation simplex on the bipartite basis
 tree: MODI potentials, Bland's rule and pivots around the tree cycle, all
-over Fractions.  An instance's first solve starts from the north-west
-corner; each later solve starts from the optimal basis of the one before.
-An instance keeps its masses and changes only its costs, so that basis is
-still feasible and Bland's rule still terminates from it.  It serves both
-liftings of a distribution and the Kantorovich lifting of the diagonal
-square.
+over ints, the masses and the costs each scaled by the LCM of their
+denominators.  An instance's first solve starts from the north-west corner;
+each later solve starts from the optimal basis of the one before.  An
+instance keeps its masses and changes only its costs, so that basis is still
+feasible and Bland's rule still terminates from it.  It serves both liftings
+of a distribution and the Kantorovich lifting of the diagonal square.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .values import INF, Value
 
@@ -28,15 +29,19 @@ class TransportationInstance:
     demands are nonnegative rationals with equal totals, not necessarily 1:
     the two components of a diagonal square ship a mass of up to 2.  A
     caller may replace the costs between solves but never the masses:
-    ``basis`` holds the optimal basis of the last solve, where the next
-    one starts.
+    ``scaled`` holds them times ``unit`` as ints, and ``basis`` the optimal
+    basis of the last solve, where the next one starts.
     """
 
     supply: list
     demand: list
     cost: list  # matrix of Value
-    # (plan, rows, cols) as _north_west_corner builds them
+    # (plan, rows, cols) as _north_west_corner builds them, flows times unit
     basis: tuple | None = field(default=None, repr=False, compare=False)
+    # the basis's plan as Fractions, until a pivot or a cold start moves it
+    plan: list | None = field(default=None, init=False, repr=False, compare=False)
+    unit: int = field(init=False, repr=False, compare=False)
+    scaled: tuple = field(init=False, repr=False, compare=False)  # (supply, demand)
 
     def __post_init__(self):
         self.supply = [Fraction(s) for s in self.supply]
@@ -51,6 +56,19 @@ class TransportationInstance:
             len(row) != len(self.demand) for row in self.cost
         ):
             raise ValueError("cost matrix shape mismatch")
+        self.unit = unit = _lcm(x.denominator for x in self.supply + self.demand)
+        self.scaled = tuple([x.numerator * (unit // x.denominator) for x in xs]
+                            for xs in (self.supply, self.demand))
+
+
+def _lcm(dens) -> int:
+    """The LCM of positive ints, one gcd at a time (``math.lcm(*dens)``
+    would hold them all at once)."""
+    lcm = 1
+    for d in dens:
+        if lcm % d:
+            lcm = lcm // gcd(lcm, d) * d
+    return lcm
 
 
 def solve_transportation(inst: TransportationInstance):
@@ -58,45 +76,42 @@ def solve_transportation(inst: TransportationInstance):
 
     When every feasible plan must use a forbidden (infinite-cost) cell the
     value is infinite and the plan is None.  An inexact (double) cost is
-    priced at its exact binary value, and the optimum is then returned as
-    a double.  The optimum is unique, so where the solve starts moves only
-    the work and which optimal plan comes back.
+    priced at its exact binary value, its integer ratio, and the optimum is
+    then returned as the double nearest to it.  The optimum is unique, so
+    where the solve starts moves only the work and which optimal plan comes
+    back.  The plan is a fresh matrix of Fractions.
     """
     m, n = len(inst.supply), len(inst.demand)
-    # a cell costs the pair (forbidden, finite cost), ordered
-    # lexicographically: an exact big-M that uses a forbidden cell only when
-    # no plan avoids them all
-    big = [[1 if v.is_infinite else 0 for v in row] for row in inst.cost]
-    if all(all(row) for row in big):
-        if all(s == 0 for s in inst.supply):
-            return Value(ZERO), [[ZERO] * n for _ in range(m)]
-        return Value(INF), None
-    small = [
-        [ZERO if v.is_infinite else v.as_fraction() for v in row]
-        for row in inst.cost
-    ]
-    inexact = any(not v.is_exact for row in inst.cost for v in row)
+    ratios = [[None if v.is_infinite else v.mag.as_integer_ratio() for v in row]
+              for row in inst.cost]
+    den = _lcm(r[1] for row in ratios for r in row if r)
+    cost = [[r and r[0] * (den // r[1]) for r in row] for row in ratios]
+    if any(None in row for row in cost):
+        # the exact big-M of the lexicographic cost (forbidden, finite): the
+        # finite part of a reduced cost sums under 2(m + n) costs, below big
+        big = 2 * (m + n) * max((c for row in cost for c in row if c is not None), default=0) + 1
+        cost = [[big if c is None else c for c in row] for row in cost]
     if inst.basis is None:
-        plan, rows, cols = _north_west_corner(inst.supply, inst.demand)
-    else:
-        # copied, so that a plan handed back earlier stays as it was
-        plan, rows, cols = inst.basis
-        plan = [row[:] for row in plan]
-        rows, cols = [set(r) for r in rows], [set(c) for c in cols]
+        inst.basis, inst.plan = _north_west_corner(*inst.scaled), None
+    plan, rows, cols = inst.basis  # pivoted in place
     while True:
-        entering = _entering_cell(big, small, rows, cols)
+        entering = _entering_cell(cost, rows, cols)
         if entering is None:
             break
         _pivot_cycle(plan, rows, cols, *entering)
-    inst.basis = plan, rows, cols
-    total = ZERO
-    for i in range(m):
-        for j in rows[i]:
-            if plan[i][j]:
-                if big[i][j]:
-                    return Value(INF), None
-                total += plan[i][j] * small[i][j]
-    return Value(float(total) if inexact else total), plan
+        inst.plan = None
+    flows = [(i, j) for i in range(m) for j in rows[i] if plan[i][j]]
+    if any(ratios[i][j] is None for i, j in flows):
+        return Value(INF), None
+    total = sum(plan[i][j] * cost[i][j] for i, j in flows)
+    den *= inst.unit
+    # every scale is positive, so each comparison and pivot was the rationals'
+    # own; int true division rounds correctly, to the double nearest the optimum
+    exact = all(type(v.mag) is not float or v.is_infinite for row in inst.cost for v in row)
+    value = Fraction(total, den) if exact else total / den
+    if inst.plan is None:
+        inst.plan = [[Fraction(x, inst.unit) if x else ZERO for x in row] for row in plan]
+    return Value(value), [row[:] for row in inst.plan]
 
 
 def _north_west_corner(supply, demand):
@@ -105,7 +120,7 @@ def _north_west_corner(supply, demand):
     spanning tree of the rows and columns.  rows[i] holds the basic columns of
     row i and cols[j] the basic rows of column j."""
     m, n = len(supply), len(demand)
-    plan = [[ZERO] * n for _ in range(m)]
+    plan = [[0] * n for _ in range(m)]
     rows = [set() for _ in range(m)]
     cols = [set() for _ in range(n)]
     left, need = list(supply), list(demand)
@@ -125,41 +140,31 @@ def _north_west_corner(supply, demand):
             j += 1
 
 
-def _entering_cell(big, small, rows, cols):
+def _entering_cell(cost, rows, cols):
     """First non-basic cell in row-major order whose reduced cost
     c_ij - u_i - v_j is negative (Bland), or None at the optimum.  The MODI
     potentials solve u_i + v_j = c_ij on the basic cells with u_0 = 0."""
     m, n = len(rows), len(cols)
-    ub, us = [0] * m, [ZERO] * m
-    vb, vs = [0] * n, [ZERO] * n
-    seen = [False] * (m + n)  # rows are nodes 0..m-1, columns m..m+n-1
-    seen[0] = True
-    stack = [0]
+    u, v = [0] + [None] * (m - 1), [None] * n  # None until the walk reaches it
+    stack = [0]  # rows are nodes 0..m-1, columns m..m+n-1
     while stack:
         node = stack.pop()
         if node < m:
-            i = node
-            for j in rows[i]:
-                if not seen[m + j]:
-                    seen[m + j] = True
-                    vb[j] = big[i][j] - ub[i]
-                    vs[j] = small[i][j] - us[i]
+            for j in rows[node]:
+                if v[j] is None:
+                    v[j] = cost[node][j] - u[node]
                     stack.append(m + j)
         else:
             j = node - m
             for i in cols[j]:
-                if not seen[i]:
-                    seen[i] = True
-                    ub[i] = big[i][j] - vb[j]
-                    us[i] = small[i][j] - vs[j]
+                if u[i] is None:
+                    u[i] = cost[i][j] - v[j]
                     stack.append(i)
+    # a basic cell's reduced cost is exactly 0, so it never enters
     for i in range(m):
-        basic = rows[i]
+        row, ui = cost[i], u[i]
         for j in range(n):
-            if j in basic:
-                continue
-            rb = big[i][j] - ub[i] - vb[j]
-            if rb < 0 or (rb == 0 and small[i][j] < us[i] + vs[j]):
+            if row[j] < ui + v[j]:
                 return i, j
     return None
 
@@ -173,11 +178,7 @@ def _pivot_cycle(plan, rows, cols, i0, j0):
     stack = [i0]
     while target not in parent:
         node = stack.pop()
-        if node < m:
-            nbrs = [m + j for j in rows[node]]
-        else:
-            nbrs = cols[node - m]
-        for nb in nbrs:
+        for nb in [m + j for j in rows[node]] if node < m else cols[node - m]:
             if nb not in parent:
                 parent[nb] = node
                 stack.append(nb)

@@ -63,23 +63,20 @@ def random_pseudometric(rng: random.Random, bound: TopBound, n_atoms=None) -> Ps
     n = n_atoms if n_atoms is not None else rng.randint(2, 5)
     atoms = ATOMS[:n]
     if bound.is_infinite:
-        pool = [Fraction(k, 4) for k in range(0, 9)] + [INF, INF]
+        unit, pool = Fraction(1, 4), list(range(9)) + [None, None]
     else:
-        t = bound.limit
-        pool = [t * Fraction(k, 8) for k in range(0, 9)]
-    raw = {}
-    for a, b in itertools.combinations(atoms, 2):
-        raw[(a, b)] = rng.choice(pool)
+        unit, pool = bound.limit / 8, list(range(9))
+    raw = {(a, b): rng.choice(pool) for a, b in itertools.combinations(atoms, 2)}
 
     def get(a, b):
-        if a == b:
-            return Fraction(0)
-        return raw[(a, b) if a < b else (b, a)]
+        return 0 if a == b else raw[(a, b) if a < b else (b, a)]
 
-    for mid in atoms:  # Floyd-Warshall min-plus closure
+    for mid in atoms:  # min-plus closure on multiples of unit, None for INF
         for a, b in itertools.combinations(atoms, 2):
-            raw[(a, b)] = min(raw[(a, b)], get(a, mid) + get(mid, b))
-    entries = {k: Value(v) for k, v in raw.items()}
+            left, right, old = get(a, mid), get(mid, b), raw[(a, b)]
+            if None not in (left, right) and (old is None or left + right < old):
+                raw[(a, b)] = left + right
+    entries = {k: Value(INF if v is None else unit * v) for k, v in raw.items()}
     return PseudometricTable(atoms, entries, bound, check=False)
 
 

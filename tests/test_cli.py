@@ -368,3 +368,165 @@ class TestInfinityRendering:
             for (a, b), v in zip(INF_PAIRS, row)
         )
         assert out == expected
+
+
+# float-mode `dist --json` text, with {method} for the method's name; the
+# entries are the doubles nearest the transports' exact optima, so a change
+# in how a transport rounds its total shows here
+FIG1_LEFT_EPS_1_20_FLOAT = """\
+{{
+  "states": [
+    "x",
+    "y",
+    "u",
+    "z"
+  ],
+  "entries": [
+    [
+      "x",
+      "y",
+      "0.045"
+    ],
+    [
+      "x",
+      "u",
+      "0.495"
+    ],
+    [
+      "x",
+      "z",
+      "1.0"
+    ],
+    [
+      "y",
+      "u",
+      "0.45"
+    ],
+    [
+      "y",
+      "z",
+      "1.0"
+    ],
+    [
+      "u",
+      "z",
+      "1.0"
+    ]
+  ],
+  "iterations": 3,
+  "converged": true,
+  "residual": "0.0",
+  "method": "{method}",
+  "mode": "float"
+}}
+"""
+
+FIG1_RIGHT_FLOAT = """\
+{{
+  "states": [
+    "x1",
+    "x2",
+    "x3",
+    "y1",
+    "y2",
+    "y3"
+  ],
+  "entries": [
+    [
+      "x1",
+      "x2",
+      "0.4"
+    ],
+    [
+      "x1",
+      "x3",
+      "0.7"
+    ],
+    [
+      "x1",
+      "y1",
+      "0.3"
+    ],
+    [
+      "x1",
+      "y2",
+      "0.5"
+    ],
+    [
+      "x1",
+      "y3",
+      "1.0"
+    ],
+    [
+      "x2",
+      "x3",
+      "0.3"
+    ],
+    [
+      "x2",
+      "y1",
+      "0.6"
+    ],
+    [
+      "x2",
+      "y2",
+      "0.1"
+    ],
+    [
+      "x2",
+      "y3",
+      "0.6"
+    ],
+    [
+      "x3",
+      "y1",
+      "0.7"
+    ],
+    [
+      "x3",
+      "y2",
+      "0.2"
+    ],
+    [
+      "x3",
+      "y3",
+      "0.3"
+    ],
+    [
+      "y1",
+      "y2",
+      "0.5"
+    ],
+    [
+      "y1",
+      "y3",
+      "1.0"
+    ],
+    [
+      "y2",
+      "y3",
+      "0.5"
+    ]
+  ],
+  "iterations": 3,
+  "converged": true,
+  "residual": "0.0",
+  "method": "{method}",
+  "mode": "float"
+}}
+"""
+
+
+class TestFloatOutputPinned:
+    @pytest.mark.parametrize("method", ["wasserstein", "kantorovich"])
+    @pytest.mark.parametrize("args, text", [
+        (["fig1_left.json", "--eps", "1/20"], FIG1_LEFT_EPS_1_20_FLOAT),
+        (["fig1_right.json"], FIG1_RIGHT_FLOAT),
+    ], ids=["fig1-left-eps-1/20", "fig1-right"])
+    def test_dist_json_text(self, capsys, args, text, method):
+        code, out, _ = run(
+            capsys, "dist", str(DATA / args[0]), *args[1:], "--float", "1e-9",
+            "--json", "--method", method,
+        )
+        assert code == 0
+        assert out == text.format(method=method)

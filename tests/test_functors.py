@@ -318,6 +318,14 @@ class TestTriangleCheckAgainstOracle:
                 ["a", "b", "c"], {("a", "b"): huge, ("a", "c"): inf, ("b", "c"): huge}, TOP_INF
             )
 
+    def test_float_table_screens_without_fractions(self):
+        # the diagonal's exact zero meets the doubles as the int 0
+        entries = {("a", "b"): Value(0.25), ("a", "c"): Value(0.25), ("b", "c"): Value(0.0)}
+        table = PseudometricTable(["a", "b", "c"], entries, TOP_ONE)
+        rows = PseudometricTable._scaled({i: table._row(i) for i in range(3)})
+        assert not any(type(m) is F for row in rows.values() for m in row)
+        assert [rows[i][i] for i in range(3)] == [0, 0, 0]
+
     def test_infinite_entries(self):
         inf, one = Value(INF), Value(F(1))
         for entries in [

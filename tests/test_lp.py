@@ -327,3 +327,49 @@ class TestWarmStart:
                 exact = _plan_cost(inst.cost, plan)
                 assert value.mag == (exact if value.is_exact else float(exact))
         assert warm > 300
+
+
+def _wide_cost(rng, m, n):
+    """A fifth of the cells forbidden; the others doubles from the least
+    subnormal to 2**500, or Fractions with 500-bit denominators."""
+
+    def cell():
+        r = rng.random()
+        if r < 0.2:
+            return Value(INF)
+        if r < 0.4:
+            return Value(F(rng.getrandbits(520), rng.getrandbits(500) | 1 << 499))
+        if r < 0.5:
+            return Value(5e-324 * rng.randint(0, 2**20))
+        if r < 0.8:
+            return Value(rng.random() * 2.0 ** rng.randint(-1074, 500))
+        return Value(rng.uniform(0, 3))
+
+    return [[cell() for _ in range(n)] for _ in range(m)]
+
+
+class TestDoubleCosts:
+    """A double is priced at its exact binary value: the optimum over the
+    transport vertices, rounded once to the nearest double."""
+
+    def test_matches_vertex_oracle_across_the_double_range(self):
+        rng = random.Random(41)
+        rounded = 0
+        for _ in range(80):
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            supply, demand = _random_mass(rng, m), _random_mass(rng, n)
+            inst = TransportationInstance(supply, demand, _wide_cost(rng, m, n))
+            for _ in range(4):  # a cold solve, then warm ones on new costs
+                value, plan = solve_transportation(inst)
+                expected = _oracle_value(supply, demand, inst.cost)
+                if expected is INF:
+                    assert value.is_infinite and plan is None
+                else:
+                    doubles = any(not v.is_exact for row in inst.cost for v in row)
+                    assert type(value.mag) is (float if doubles else F)
+                    assert value.mag == (float(expected) if doubles else expected)
+                    _assert_feasible(inst, plan)
+                    assert _plan_cost(inst.cost, plan) == expected
+                    rounded += doubles and float(expected) != expected
+                inst.cost = _wide_cost(rng, m, n)
+        assert rounded > 50

@@ -1,15 +1,37 @@
+import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from behametric.suites import (
+    ATOMS,
     SUITES,
     random_pseudometric,
     random_prob_ts,
     run_suite,
 )
 from behametric import lifting
-from behametric.values import TOP_INF, TOP_ONE, Value
+from behametric.values import INF, TOP_INF, TOP_ONE, TopBound, Value
+
+
+def fraction_closure(rng, bound, n_atoms=None):
+    """random_pseudometric's draws, closed over Fractions and INF:
+    (atoms, {(a, b): magnitude})."""
+    atoms = ATOMS[:n_atoms if n_atoms is not None else rng.randint(2, 5)]
+    if bound.is_infinite:
+        pool = [F(k, 4) for k in range(9)] + [INF, INF]
+    else:
+        pool = [bound.limit * F(k, 8) for k in range(9)]
+    raw = {(a, b): rng.choice(pool) for a, b in itertools.combinations(atoms, 2)}
+
+    def get(a, b):
+        return F(0) if a == b else raw[(a, b) if a < b else (b, a)]
+
+    for mid in atoms:
+        for a, b in itertools.combinations(atoms, 2):
+            raw[(a, b)] = min(raw[(a, b)], get(a, mid) + get(mid, b))
+    return atoms, raw
 
 
 class TestGenerators:
@@ -19,6 +41,21 @@ class TestGenerators:
             for _ in range(25):
                 d = random_pseudometric(rng, bound)
                 d._check_triangle()  # raises on violation
+
+    @pytest.mark.parametrize("bound", [TOP_ONE, TOP_INF, TopBound.finite(F(3, 2))],
+                             ids=["top-1", "top-inf", "top-3/2"])
+    def test_random_pseudometric_equals_a_fraction_closure(self, bound):
+        for seed in range(4):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for k in range(60):
+                n_atoms = None if k % 2 else 5
+                table = random_pseudometric(ours, bound, n_atoms)
+                atoms, raw = fraction_closure(theirs, bound, n_atoms)
+                assert table.carrier == atoms
+                for (a, b), mag in raw.items():
+                    got = table.get(a, b).mag
+                    assert got == mag and type(got) is type(mag), (seed, k, a, b)
+            assert ours.getstate() == theirs.getstate()
 
     def test_random_prob_ts_weights(self):
         rng = random.Random(1)
