@@ -24,12 +24,13 @@ from .functors import PseudometricTable, walk_atoms
 from .lifting import WASSERSTEIN, LiftingEngine
 from .values import (
     ZERO,
+    ConfigurationError,
     NumericMode,
     Value,
     check_tolerance,
     dist_e,
+    exceeds,
     format_magnitude,
-    rounding_slack,
 )
 
 
@@ -91,15 +92,19 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
             prev = current.get(a, b)
             step = dist_e(v, prev)
             if v < prev:
-                if not _rounded_below(v, prev):
+                # a step down that rounding explains is clamped; any other is a bug
+                if exceeds(prev, v):
                     raise AssertionError(
                         f"iteration not monotone at ({a},{b}): {prev} -> {v}"
                     )
                 v, step = prev, ZERO
             if step > residual:
                 residual = step
-            if not mode.is_exact:
-                v = _round_value(v)
+            try:
+                v = v if mode.is_exact else _round_value(v)
+            except OverflowError:
+                raise ConfigurationError(f"distance of ({a},{b}) exceeds the float range; "
+                                         "compute it in exact mode (--exact)") from None
             # a double equal to a Fraction still moves: lifts read its type
             if v is not prev and (type(v.mag) is not type(prev.mag) or v.mag != prev.mag):
                 changes[(a, b)] = v
@@ -151,17 +156,8 @@ def _lift_pairs(sys: System, table: PseudometricTable, method: str, pairs, store
     return [engine.dist(sys.alpha[a], sys.alpha[b]) for a, b in pairs]
 
 
-def _rounded_below(v: Value, prev: Value) -> bool:
-    """v, below prev, is a double (a rounded entry or an irrational root)
-    or follows one, and lies within the gap that rounding opens: the loop
-    clamps such a step, and any other decrease is a bug."""
-    if v.is_exact and prev.is_exact:
-        return False
-    return dist_e(v, prev).as_float() <= rounding_slack(v.as_float())
-
-
 def _round_value(v: Value) -> Value:
-    """The nearest double of an exact entry: float mode stores doubles."""
+    """Float mode stores the nearest double of an exact entry; OverflowError past the range."""
     if isinstance(v.mag, float):
         return v
     return Value(float(v.mag))
@@ -175,7 +171,7 @@ def verify_fixed_point(sys: System, m: DistanceMatrix, tol: float | None = None)
     for (a, b), v in zip(pairs, _lift_pairs(sys, m.table, m.method, pairs)):
         prev = m.table.get(a, b)
         if sys.mode.is_exact:
-            if v != prev and not (v < prev and _rounded_below(v, prev)):
+            if prev < v or exceeds(prev, v):
                 return False
         elif dist_e(_round_value(v), prev).as_float() >= tol:
             return False
@@ -206,13 +202,11 @@ def kernel_partition(m: DistanceMatrix, tol: float | None = None):
 
     blocks = []
     for s in m.states:
-        placed = False
         for block in blocks:
             if close(s, block[0]):
                 block.append(s)
-                placed = True
                 break
-        if not placed:
+        else:
             blocks.append([s])
     return [tuple(b) for b in blocks]
 

@@ -10,7 +10,6 @@ use Tagged, distributions use Distribution).
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -23,9 +22,10 @@ from .values import (
     Value,
     add_ext,
     exact,
+    exceeds,
+    over_common_denominator,
     pth_power,
     pth_root,
-    rounding_slack,
     scale,
 )
 
@@ -141,10 +141,9 @@ class PseudometricTable:
     The triangle check compares integers, the magnitudes scaled by the LCM
     of their denominators, unless some are doubles (float-mode entries,
     irrational p-norm roots); flagged triples are re-judged as Values, so
-    verdicts and messages are those of Value arithmetic.  A triple holding a
-    double may miss by the gap of rounding_slack(rhs) that rounding opens;
-    exact triples are judged exactly.  ``updated`` builds the next table
-    of an iteration from the entries that moved.
+    verdicts and messages are those of Value arithmetic: a triple fails when
+    one side ``exceeds`` the sum of the other two.  ``updated`` builds the
+    next table of an iteration from the entries that moved.
     """
 
     def __init__(self, carrier, entries, bound: TopBound, check: bool = True):
@@ -197,8 +196,7 @@ class PseudometricTable:
         inf: int + inf raises once the scaled integers pass 2**1024)."""
         finite = [v.mag for row in rows.values() for v in row if not v.is_infinite]
         if all(type(m) is Fraction for m in finite):
-            lcm = math.lcm(*{m.denominator for m in finite})
-            finite = [m.numerator * (lcm // m.denominator) for m in finite]
+            finite, _ = over_common_denominator(finite)
         else:  # no Fraction arithmetic with doubles
             finite = [m or 0 for m in finite]
         big = 4 * max(finite, default=0) + 1
@@ -218,9 +216,7 @@ class PseudometricTable:
                 for k in range(i + 1, n):
                     if ri[k] > dij + rj[k] and j != i and j != k:
                         d_ik, rhs = rows[i][k], add_ext(rows[i][j], rows[j][k])
-                        if d_ik > rhs and (d_ik.is_exact and rhs.is_exact
-                                           or d_ik.as_float() - rhs.as_float()
-                                           > rounding_slack(rhs.as_float())):
+                        if exceeds(d_ik, rhs):
                             a, b, c = self.carrier[i], self.carrier[j], self.carrier[k]
                             raise ShapeError(
                                 f"triangle inequality fails: d({a},{c})={d_ik} > "
@@ -456,18 +452,11 @@ def combine_product(ev, v1: Value, v2: Value, bound: TopBound) -> Value:
     if isinstance(ev, PNormEval):
         # the p-th powers are not distances and may pass top; the root is at
         # most top, since c1 + c2 <= 1 under a finite top, but an irrational
-        # root is a double that rounding may lift past float(top)
+        # root is a double that rounding may lift past top's double
         x1, x2 = scale(pth_power(v1, ev.p), ev.c1), scale(pth_power(v2, ev.p), ev.c2)
-        try:
-            radicand = add_ext(x1, x2)
-        except OverflowError:
-            # a power past the float range is a Fraction, which a double
-            # beside it would convert to a float
-            radicand = Value(x1.as_fraction() + x2.as_fraction())
-        root = pth_root(radicand, ev.p)
-        if (bound.limit is not None and type(root.mag) is float
-                and root.mag > float(bound.limit)):
-            return Value(float(bound.limit))
+        root = pth_root(add_ext(x1, x2), ev.p)
+        if type(root.mag) is float and root.mag > bound.float_limit:
+            return Value(bound.float_limit)
         return root
     raise ShapeError(f"unknown product evaluation {ev!r}")
 

@@ -274,19 +274,15 @@ def check_well_behaved(
     ev = lambda vs: _ev_set(eval_name, vs)
     witnesses = {1: [], 2: [], 3: []}
 
-    def rand_subset(pool, allow_empty=True):
-        k = rng.randint(0 if allow_empty else 1, min(4, len(pool)))
+    def rand_subset(pool):
+        k = rng.randint(0, min(4, len(pool)))
         return frozenset(rng.sample(pool, k))
 
     # condition 1: monotone pairs of value tuples
-    mono_samples = []
     for _ in range(n_random):
         size = rng.randint(0, 4)
         lo = [grid[rng.randrange(len(grid))] for _ in range(size)]
-        hi = [grid[rng.randrange(rng_index, len(grid))]
-              for rng_index in (grid.index(v) for v in lo)]
-        mono_samples.append((lo, hi))
-    for lo, hi in mono_samples:
+        hi = [grid[rng.randrange(grid.index(v), len(grid))] for v in lo]
         if not ev(lo) <= ev(hi):
             witnesses[1].append((tuple(lo), tuple(hi)))
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
-from .values import INF, Value
+from .values import INF, Value, over_common_denominator
 
 ZERO = Fraction(0)
 
@@ -56,19 +55,9 @@ class TransportationInstance:
             len(row) != len(self.demand) for row in self.cost
         ):
             raise ValueError("cost matrix shape mismatch")
-        self.unit = unit = _lcm(x.denominator for x in self.supply + self.demand)
-        self.scaled = tuple([x.numerator * (unit // x.denominator) for x in xs]
-                            for xs in (self.supply, self.demand))
-
-
-def _lcm(dens) -> int:
-    """The LCM of positive ints, one gcd at a time (``math.lcm(*dens)``
-    would hold them all at once)."""
-    lcm = 1
-    for d in dens:
-        if lcm % d:
-            lcm = lcm // gcd(lcm, d) * d
-    return lcm
+        masses, self.unit = over_common_denominator(self.supply + self.demand)
+        m = len(self.supply)
+        self.scaled = (masses[:m], masses[m:])
 
 
 def solve_transportation(inst: TransportationInstance):
@@ -82,15 +71,13 @@ def solve_transportation(inst: TransportationInstance):
     back.  The plan is a fresh matrix of Fractions.
     """
     m, n = len(inst.supply), len(inst.demand)
-    ratios = [[None if v.is_infinite else v.mag.as_integer_ratio() for v in row]
-              for row in inst.cost]
-    den = _lcm(r[1] for row in ratios for r in row if r)
-    cost = [[r and r[0] * (den // r[1]) for r in row] for row in ratios]
-    if any(None in row for row in cost):
-        # the exact big-M of the lexicographic cost (forbidden, finite): the
-        # finite part of a reduced cost sums under 2(m + n) costs, below big
-        big = 2 * (m + n) * max((c for row in cost for c in row if c is not None), default=0) + 1
-        cost = [[big if c is None else c for c in row] for row in cost]
+    finite, den = over_common_denominator(
+        [v.mag for row in inst.cost for v in row if not v.is_infinite])
+    # the exact big-M of the lexicographic cost (forbidden, finite): the
+    # finite part of a reduced cost sums under 2(m + n) costs, below big
+    big = 2 * (m + n) * max(finite, default=0) + 1
+    finite = iter(finite)
+    cost = [[big if v.is_infinite else next(finite) for v in row] for row in inst.cost]
     if inst.basis is None:
         inst.basis, inst.plan = _north_west_corner(*inst.scaled), None
     plan, rows, cols = inst.basis  # pivoted in place
@@ -101,13 +88,13 @@ def solve_transportation(inst: TransportationInstance):
         _pivot_cycle(plan, rows, cols, *entering)
         inst.plan = None
     flows = [(i, j) for i in range(m) for j in rows[i] if plan[i][j]]
-    if any(ratios[i][j] is None for i, j in flows):
+    if any(inst.cost[i][j].is_infinite for i, j in flows):
         return Value(INF), None
     total = sum(plan[i][j] * cost[i][j] for i, j in flows)
     den *= inst.unit
     # every scale is positive, so each comparison and pivot was the rationals'
     # own; int true division rounds correctly, to the double nearest the optimum
-    exact = all(type(v.mag) is not float or v.is_infinite for row in inst.cost for v in row)
+    exact = all(v.is_exact for row in inst.cost for v in row)
     value = Fraction(total, den) if exact else total / den
     if inst.plan is None:
         inst.plan = [[Fraction(x, inst.unit) if x else ZERO for x in row] for row in plan]

@@ -1,4 +1,4 @@
-"""Magnitudes of distances, and the top bound that limits them.
+"""Magnitudes of distances, their top bound, and the shared numeric rules.
 
 A distance is a magnitude in [0, top], where top is either a finite
 positive rational or infinity.  A ``Value`` is the magnitude alone: the
@@ -10,17 +10,24 @@ are Fractions; a finite float is a double, whatever the mode: float mode
 stores its entries as doubles, and in exact mode only an irrational p-norm
 root makes one.  Infinity is the float ``math.inf``: Python orders it
 above every Fraction, and it absorbs under + and under * by a positive
-scale; the one undefined case, inf - inf, is handled in ``dist_e``.  A
-Fraction meeting a float is converted to a float first, which overflows
-past ~1.8e308 and makes a factor below ~1e-308 zero (inf * 0.0 is nan), so
-``add_ext``, ``dist_e`` and ``scale`` keep inf out of that arithmetic.
+scale; the one undefined case, inf - inf, is handled in ``dist_e``.
+
+Each numeric rule is stated here once: ``exceeds`` judges rounding,
+``TopBound.float_limit`` is top's double, and ``over_common_denominator``
+writes magnitudes as ints over one denominator.  A Fraction meeting a
+double is converted to a double first, which overflows past ~1.8e308, so
+``add_ext`` and ``pth_power`` then stay exact, and makes a factor below
+~1e-308 zero (inf * 0.0 is nan), so ``add_ext``, ``dist_e`` and ``scale``
+keep inf out of that arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 
@@ -43,6 +50,13 @@ class TopBound:
         if self.limit is not None and self.limit <= 0:
             raise ConfigurationError("finite top bound must be positive")
 
+    @cached_property
+    def float_limit(self) -> float:
+        """The double that stands for the limit, computed once; inf when the
+        limit is infinite or past the double range, since every double is below it."""
+        limit = self.limit
+        return INF if limit is None or limit > sys.float_info.max else float(limit)
+
     @classmethod
     def finite(cls, q) -> "TopBound":
         return cls(Fraction(q))
@@ -58,13 +72,12 @@ class TopBound:
     def check(self, v: "Value") -> "Value":
         """v, if it is a distance under this bound; else ConfigurationError.
         Called where a distance is stored (PseudometricTable) or returned
-        (LiftingEngine.dist).  A double may reach float(limit), the double
-        that stands for the limit."""
+        (LiftingEngine.dist).  A double may reach float_limit."""
         if self.limit is not None:
             if v.is_infinite:
                 raise ConfigurationError("infinite value under a finite bound")
             m = v.mag
-            if m > (self.limit if isinstance(m, Fraction) else float(self.limit)):
+            if m > (self.limit if isinstance(m, Fraction) else self.float_limit):
                 raise ConfigurationError(f"value {m} exceeds top {self.limit}")
         return v
 
@@ -202,14 +215,18 @@ def add_ext(a: Value, b: Value) -> Value:
     """Extended addition: x + inf = inf.  The sum is no distance and may
     pass top; set against a stored distance, which is at most top, it gives
     the triangle verdict that the sum clamped to top would give."""
-    return Value(INF if a.is_infinite or b.is_infinite else a.mag + b.mag)
+    if a.is_infinite or b.is_infinite:
+        return Value(INF)
+    try:
+        return Value(a.mag + b.mag)
+    except OverflowError:
+        # a Fraction past the double range beside a double: add exactly
+        return Value(Fraction(a.mag) + Fraction(b.mag))
 
 
 def scale(v: Value, c: Fraction) -> Value:
-    """Multiply by a positive rational; c * inf = inf."""
-    c = Fraction(c)
-    if c <= 0:
-        raise ConfigurationError("scale factor must be positive")
+    """Multiply by a positive rational c, validated where it was built (an
+    Id discount, a p-norm weight, an oracle's plan weight); c * inf = inf."""
     if c == 1 or v.is_infinite:
         return v
     return Value(v.mag * c)
@@ -266,6 +283,25 @@ def rounding_slack(x: float) -> float:
     """The gap that rounding to doubles may open next to a finite double x:
     two ulps of x, and never less than 1e-12."""
     return max(1e-12, 2 * math.ulp(x))
+
+
+def exceeds(a: Value, b: Value) -> bool:
+    """a lies above b by more than rounding explains: by any amount when
+    both are exact, else by more than rounding_slack(b) in doubles."""
+    if not b < a:
+        return False
+    return a.is_exact and b.is_exact or a.as_float() - b.as_float() > rounding_slack(b.as_float())
+
+
+def over_common_denominator(mags) -> tuple:
+    """(ints, den): the finite magnitudes mags as ints over den, the LCM of
+    their denominators, one gcd at a time; a double enters at its exact ratio."""
+    ratios = [m.as_integer_ratio() for m in mags]
+    den = 1
+    for _, d in ratios:
+        if den % d:
+            den = den // math.gcd(den, d) * d
+    return [n * (den // d) for n, d in ratios], den
 
 
 def format_magnitude(m: Magnitude) -> str:

@@ -8,6 +8,7 @@ from behametric import lifting
 from behametric.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+FIXTURES = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -530,3 +531,41 @@ class TestFloatOutputPinned:
         )
         assert code == 0
         assert out == text.format(method=method)
+
+
+class TestPastTheDoubleRange:
+    """Distances past the double range: exact mode prints them, float mode
+    refuses them in one line."""
+
+    OVERFLOW_DOCS = {
+        # top = 1e400: an empty set against a nonempty one is at top
+        "overflow_top_finpow.json": "1" + "0" * 400,
+        # top = inf: a constant entry 1e400
+        "overflow_const_entry.json": "1" + "0" * 400,
+        # top = inf: the diagonal square sums 1e308 twice
+        "overflow_diagsquare_sum.json": "2" + "0" * 308,
+    }
+
+    @pytest.mark.parametrize("command", ["dist", "trace"])
+    @pytest.mark.parametrize("doc", OVERFLOW_DOCS)
+    @pytest.mark.parametrize("mode", [["--float", "1e-9"], []], ids=["float", "default"])
+    def test_float_mode_exits_with_one_line(self, capsys, command, doc, mode):
+        code, out, err = run(capsys, command, str(FIXTURES / doc), *mode)
+        assert code == 1 and out == ""
+        assert err == ("error: distance of (x,y) exceeds the float range; "
+                       "compute it in exact mode (--exact)\n")
+
+    @pytest.mark.parametrize("doc", OVERFLOW_DOCS)
+    def test_exact_mode_prints_the_distance(self, capsys, doc):
+        distance = self.OVERFLOW_DOCS[doc]
+        code, out, err = run(capsys, "dist", str(FIXTURES / doc), "--exact")
+        assert code == 0 and err == ""
+        assert out == f"state,x,y\nx,0,{distance}\ny,{distance},0\n"
+
+    @pytest.mark.parametrize("mode, zero", [(["--exact"], "0"), (["--float", "1e-9"], "0.0")])
+    def test_pnorm_under_a_top_past_the_double_range(self, capsys, mode, zero):
+        # top = 1e400 has no double; the root of (1 + 4) / 2 is one
+        code, out, err = run(capsys, "dist", str(FIXTURES / "pnorm_top_past_double.json"), *mode)
+        assert code == 0 and err == ""
+        d = "1.5811388300841895"
+        assert out == f"state,x,y\nx,{zero},{d}\ny,{d},{zero}\n"

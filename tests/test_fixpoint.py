@@ -17,7 +17,6 @@ from behametric.coalgebra import (
 )
 from behametric.fixpoint import (
     IterationOptions,
-    _rounded_below,
     UnconvergedError,
     behavioral_distances,
     bisimilarity_partition,
@@ -55,6 +54,7 @@ from behametric.values import (
     TopBound,
     Value,
     dist_e,
+    exceeds,
 )
 
 
@@ -339,7 +339,7 @@ def jacobi_reference(sys_, opts):
             v, prev = engine.dist(sys_.alpha[a], sys_.alpha[b]), table.get(a, b)
             step = dist_e(v, prev)
             if v < prev:
-                assert _rounded_below(v, prev)
+                assert not exceeds(prev, v)
                 v, step = prev, ZERO
             residual = max(residual, step)
             entries[(a, b)] = v if mode.is_exact else Value(float(v.mag))

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,9 +20,12 @@ from behametric.values import (
     Value,
     add_ext,
     dist_e,
+    exceeds,
     format_magnitude,
+    over_common_denominator,
     pth_power,
     pth_root,
+    rounding_slack,
     scale,
     top,
 )
@@ -247,3 +252,97 @@ class TestLongDecimals:
         m = DistanceMatrix(("a", "b"), table, 1, True, v, "wasserstein", EXACT)
         text = "1/1" + "0" * 4300
         assert matrix_to_csv(m) == f"state,a,b\na,0,{text}\nb,{text},0\n"
+
+
+class TestExceeds:
+    def test_exact_pairs_are_judged_exactly(self):
+        third = F(1, 3)
+        assert exceeds(v1(third + F(1, 10**30)), v1(third))
+        assert not exceeds(v1(third), v1(third))
+        assert not exceeds(v1(third), v1(third + F(1, 10**30)))
+        assert exceeds(v1(F(1, 10**30)), ZERO)
+
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 1e6])
+    def test_doubles_within_and_beyond_the_slack(self, x):
+        def up(y):
+            return math.nextafter(y, INF)
+
+        slack = rounding_slack(x)
+        assert not exceeds(Value(up(up(x))), Value(x))  # two ulps
+        edge = x + slack  # the last double within the slack above x
+        while edge - x > slack:
+            edge = math.nextafter(edge, 0)
+        while up(edge) - x <= slack:
+            edge = up(edge)
+        assert not exceeds(Value(edge), Value(x))
+        assert exceeds(Value(up(edge)), Value(x))
+        # the lower value never exceeds the higher
+        assert not exceeds(Value(x), Value(up(edge)))
+
+    def test_double_against_an_equal_fraction(self):
+        # the double 0.1 lies just above 1/10, by less than rounding explains
+        assert v1("1/10") < Value(0.1)
+        assert not exceeds(Value(0.1), v1("1/10"))
+        assert not exceeds(v1("1/10"), Value(0.1))
+        assert not exceeds(Value(0.5), v1("1/2"))
+        assert not exceeds(v1("1/2"), Value(0.5))
+
+    def test_infinity_on_either_side(self):
+        for finite in (Value(1e308), v1(F(10) ** 400), ZERO):
+            assert exceeds(Value(INF), finite)
+            assert not exceeds(finite, Value(INF))
+        assert not exceeds(Value(INF), Value(INF))
+
+
+class TestTopDouble:
+    def test_a_tenth_gives_the_double_a_tenth(self):
+        assert TopBound.finite(F(1, 10)).float_limit == 0.1
+
+    def test_a_limit_past_the_double_range_gives_inf(self):
+        assert TopBound.finite(F(10) ** 400).float_limit == INF
+        assert TOP_INF.float_limit == INF
+
+    def test_equality_and_hash_are_the_limits(self):
+        q = F(1, 10)
+        assert TopBound.finite(q) == TopBound(q) and hash(TopBound.finite(q)) == hash((q,))
+        # two limits past the double range share their double, not their bound
+        big, bigger = TopBound.finite(F(10) ** 400), TopBound.finite(F(10) ** 401)
+        assert big.float_limit == bigger.float_limit and big != bigger
+        assert repr(TopBound.finite(q)) == "TopBound(1/10)"
+
+    def test_check_past_the_double_range(self):
+        bound = TopBound.finite(F(10) ** 400)
+        assert bound.check(Value(1e308)) == Value(1e308)
+        with pytest.raises(ConfigurationError):
+            bound.check(v1(F(10) ** 400 + 1))
+
+
+def test_add_ext_stays_exact_past_the_double_range():
+    huge = v1(F(10) ** 400)
+    expected = Value(F(10) ** 400 + F(0.5))
+    for a, b in ((huge, Value(0.5)), (Value(0.5), huge)):
+        out = add_ext(a, b)
+        assert out == expected and type(out.mag) is F
+
+
+class TestCommonDenominator:
+    def test_matches_fraction_arithmetic(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            mags = [F(rng.randint(0, 10**6), rng.randint(1, 10**4)) for _ in range(rng.randint(0, 6))]
+            # doubles from subnormal up to 2**500
+            mags += [math.ldexp(rng.random(), rng.randint(-1074, 500)) for _ in range(rng.randint(0, 4))]
+            rng.shuffle(mags)
+            ints, den = over_common_denominator(mags)
+            assert den == math.lcm(*(F(m).denominator for m in mags))
+            assert [F(n, den) for n in ints] == [F(m) for m in mags]
+            assert all(type(n) is int for n in ints)
+
+    def test_extreme_doubles(self):
+        mags = [5e-324, 2.0**500, F(1, 3)]
+        ints, den = over_common_denominator(mags)
+        assert den == 3 * 2**1074
+        assert [F(n, den) for n in ints] == [F(m) for m in mags]
+
+    def test_no_magnitudes(self):
+        assert over_common_denominator([]) == ([], 1)
