@@ -3,9 +3,9 @@
 Starting from the zero pseudometric, each step lifts the current table
 through the system's functor expression and evaluates at the pairs of
 transition structures.  After the first step a pair is lifted again only
-when an entry its lift reads moved in the step before; the others keep
-their last lifted value, so every step sees the values a full re-lift
-would give.  The sequence is monotone nondecreasing; iteration
+when an entry its lift reads moved in the step before; the others are not
+visited, since a full re-lift would give them a zero step and leave their
+entries as they are.  The sequence is monotone nondecreasing; iteration
 stops at an exact fixed point (exact mode), at residual < the mode's
 tolerance (float mode), or at the iteration cap, in which case the result
 is returned unconverged rather than raised.
@@ -51,7 +51,7 @@ class IterationOptions:
             check_tolerance(self.tol, "tol")
 
 
-@dataclass
+@dataclass(slots=True)
 class DistanceMatrix:
     states: tuple
     table: PseudometricTable
@@ -78,17 +78,21 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
     residual = ZERO
     converged = len(pairs) == 0
     iterations = 0
-    store = {}  # each Dist pair's transport, warm from the iteration before
+    store = {}  # Dist transports, warm from the step before, and set orders
     reads = _reads(sys)
-    lifted = [None] * len(pairs)  # each pair's last lift, before clamp and rounding
     todo = range(len(pairs))  # positions of the pairs to lift: at first all
     for iterations in range(1, opts.max_iter + 1):
         fresh = _lift_pairs(sys, current, opts.method, [pairs[k] for k in todo], store)
-        for k, v in zip(todo, fresh):
-            lifted[k] = v
         changes = {}
         residual = ZERO
-        for (a, b), v in zip(pairs, lifted):
+        # Only the pairs lifted again are visited.  Any other pair would lift
+        # to its last lift v, and its entry is v or the clamp of v (exact
+        # mode), or the double nearest v or the clamp of v (float mode, where
+        # a v that rounded up clamps).  So its step would be zero, since
+        # mixed arithmetic rounds a Fraction to a double first, and its
+        # entry would stay.
+        for k, v in zip(todo, fresh):
+            a, b = pairs[k]
             prev = current.get(a, b)
             step = dist_e(v, prev)
             if v < prev:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .values import (
+    FLOAT_MAX,
     ZERO,
     ConfigurationError,
     TopBound,
@@ -130,13 +131,20 @@ def _offsets(n: int) -> tuple:
     return tuple(i * n - i * (i + 1) // 2 - i - 1 for i in range(n))
 
 
+@lru_cache(maxsize=64)
+def _positions(carrier: tuple) -> dict:
+    """Each atom of carrier to its position.  Shared by every table on an
+    equal carrier."""
+    return {a: i for i, a in enumerate(carrier)}
+
+
 class PseudometricTable:
     """Symmetric distance table with zero diagonal on a finite carrier.
 
     ``_index`` maps an atom to its carrier position.  Each entry above the
     diagonal is stored once, row by row, in ``_flat``: the distance of the
-    atoms at positions i < j is ``_flat[_offset[i] + j]``, and ``_diag``
-    holds the diagonal.  Every entry is checked against the table's
+    atoms at positions i < j is ``_flat[_offset[i] + j]``, and the diagonal
+    is ZERO.  Every entry is checked against the table's
     TopBound and the pseudometric axioms are validated on construction.
     The triangle check compares integers, the magnitudes scaled by the LCM
     of their denominators, unless some are doubles (float-mode entries,
@@ -146,9 +154,13 @@ class PseudometricTable:
     next table of an iteration from the entries that moved.
     """
 
+    # a result keeps its last table, so a table holds no per-instance dict
+    # and shares its index and offsets with every table on its carrier
+    __slots__ = ("carrier", "_index", "bound", "_offset", "_flat")
+
     def __init__(self, carrier, entries, bound: TopBound, check: bool = True):
         self.carrier = tuple(carrier)
-        self._index = {a: i for i, a in enumerate(self.carrier)}
+        self._index = _positions(self.carrier)
         if len(self._index) != len(self.carrier):
             raise ShapeError("duplicate carrier atoms")
         self.bound = bound
@@ -166,7 +178,6 @@ class PseudometricTable:
             if diag[i] is not None and not diag[i].is_zero:
                 raise ShapeError(f"nonzero diagonal at {a!r}")
         self._flat = [ZERO if v is None else v for v in flat]
-        self._diag = [ZERO if v is None else v for v in diag]
         if check:
             self._check_triangle()
 
@@ -184,21 +195,25 @@ class PseudometricTable:
         carrier order."""
         flat, off = self._flat, self._offset
         start = off[i] + i + 1
-        return ([flat[off[k] + i] for k in range(i)] + [self._diag[i]]
+        return ([flat[off[k] + i] for k in range(i)] + [ZERO]
                 + flat[start:start + len(self.carrier) - i - 1])
 
     @staticmethod
     def _scaled(rows):
         """The rows of Values in ``rows``, {position: row}, as magnitudes:
         integers scaled by the LCM of the rows' finite denominators, or as
-        they are when some are doubles, but zero as the int 0.  INF counts as
-        an integer above any sum of two finite entries of the rows (not as
+        they are when some are doubles, but zero as the int 0.  A Fraction
+        past the double range has no double to meet the doubles with, so
+        then the doubles are scaled too, at their exact ratios.  INF counts
+        as an integer above any sum of two finite entries of the rows (not as
         inf: int + inf raises once the scaled integers pass 2**1024)."""
         finite = [v.mag for row in rows.values() for v in row if not v.is_infinite]
-        if all(type(m) is Fraction for m in finite):
-            finite, _ = over_common_denominator(finite)
-        else:  # no Fraction arithmetic with doubles
+        ints = all(type(m) is Fraction for m in finite)
+        if not ints:  # no Fraction arithmetic with doubles
             finite = [m or 0 for m in finite]
+            ints = any(type(m) is Fraction and m > FLOAT_MAX for m in finite)
+        if ints:
+            finite, _ = over_common_denominator(finite)
         big = 4 * max(finite, default=0) + 1
         scaled = iter(finite)
         return {i: [big if v.is_infinite else next(scaled) for v in row] for i, row in rows.items()}
@@ -268,7 +283,7 @@ class PseudometricTable:
             return self._flat[self._offset[i] + j]
         if i > j:
             return self._flat[self._offset[j] + i]
-        return self._diag[i]
+        return ZERO
 
     def entries(self):
         """(a, b, distance) for each pair of atoms a before b in the carrier."""
@@ -317,6 +332,11 @@ class Id(FunctorExpr):
         object.__setattr__(self, "discount", Fraction(self.discount))
         if not 0 < self.discount <= 1:
             raise ConfigurationError(f"discount {self.discount} not in (0, 1]")
+
+    @cached_property
+    def unit(self) -> bool:
+        """The discount is 1: lifting reads the table as it is."""
+        return self.discount == 1
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,11 @@ class LiftingEngine:
     """Lift one ground pseudometric through one expression, memoized.
 
     Reuse a single engine when evaluating many structure pairs against the
-    same table (the fixed-point loop does exactly that).  A transport store,
-    a dict that outlives the engine, keeps each `Dist` pair's transportation
+    same table (the fixed-point loop does exactly that).  A store, a dict
+    that outlives the engine, keeps each `Dist` pair's transportation
     instance from one table to the next, so that its next solve starts from
-    its last optimal basis; an engine without one starts every pair cold.
+    its last optimal basis, and each finite set's canonical order; an engine
+    without one starts every pair cold and sorts every set it meets.
     """
 
     def __init__(self, expr: FunctorExpr, d, method: str = WASSERSTEIN, store=None):
@@ -76,6 +77,12 @@ class LiftingEngine:
     # -- recursion ----------------------------------------------------------
 
     def _lift(self, expr, t1, t2) -> Value:
+        # a leaf reads one entry, which costs less than a memo round trip
+        if type(expr) is Id:
+            v = self.d.get(t1, t2)
+            return v if expr.unit else scale(v, expr.discount)
+        if type(expr) is Const:
+            return expr.space.get(t1, t2)
         # structures are canonical and hashable, so they key the memo as is
         key = (id(expr), t1, t2)
         hit = self._memo.get(key)
@@ -86,10 +93,6 @@ class LiftingEngine:
         return out
 
     def _lift_raw(self, expr, t1, t2) -> Value:
-        if isinstance(expr, Id):
-            return scale(self.d.get(t1, t2), expr.discount)
-        if isinstance(expr, Const):
-            return expr.space.get(t1, t2)
         if isinstance(expr, Coproduct):
             if t1.tag != t2.tag:
                 return top(self.bound)
@@ -114,11 +117,16 @@ class LiftingEngine:
             return ZERO
         if not s1 or not s2:
             return top(self.bound)
-        xs2 = sorted_structs(s2)
-        rows = [[self._lift(sub, a, b) for b in xs2] for a in sorted_structs(s1)]
-        d1 = max(min(row) for row in rows)
-        d2 = max(min(col) for col in zip(*rows))
-        return max(d1, d2)
+        xs2, lift = self._sorted(s2), self._lift
+        rows = [[lift(sub, a, b) for b in xs2] for a in self._sorted(s1)]
+        return max(max(map(min, rows)), max(map(min, zip(*rows))))
+
+    def _sorted(self, s: frozenset) -> list:
+        """The members of s in canonical order, kept in the store by s."""
+        xs = self._store.get(s)
+        if xs is None:
+            xs = self._store[s] = sorted_structs(s)
+        return xs
 
     def _dist_node(self, sub, p1, p2) -> Value:
         # one transportation problem for both methods: the lifted ground

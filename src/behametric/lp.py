@@ -66,7 +66,8 @@ def solve_transportation(inst: TransportationInstance):
     When every feasible plan must use a forbidden (infinite-cost) cell the
     value is infinite and the plan is None.  An inexact (double) cost is
     priced at its exact binary value, its integer ratio, and the optimum is
-    then returned as the double nearest to it.  The optimum is unique, so
+    then returned as the double nearest to it, or exactly when it lies past
+    the double range.  The optimum is unique, so
     where the solve starts moves only the work and which optimal plan comes
     back.  The plan is a fresh matrix of Fractions.
     """
@@ -95,7 +96,10 @@ def solve_transportation(inst: TransportationInstance):
     # every scale is positive, so each comparison and pivot was the rationals'
     # own; int true division rounds correctly, to the double nearest the optimum
     exact = all(v.is_exact for row in inst.cost for v in row)
-    value = Fraction(total, den) if exact else total / den
+    try:
+        value = Fraction(total, den) if exact else total / den
+    except OverflowError:  # an optimum past the double range stays exact
+        value = Fraction(total, den)
     if inst.plan is None:
         inst.plan = [[Fraction(x, inst.unit) if x else ZERO for x in row] for row in plan]
     return Value(value), [row[:] for row in inst.plan]

@@ -16,9 +16,10 @@ Each numeric rule is stated here once: ``exceeds`` judges rounding,
 ``TopBound.float_limit`` is top's double, and ``over_common_denominator``
 writes magnitudes as ints over one denominator.  A Fraction meeting a
 double is converted to a double first, which overflows past ~1.8e308, so
-``add_ext`` and ``pth_power`` then stay exact, and makes a factor below
-~1e-308 zero (inf * 0.0 is nan), so ``add_ext``, ``dist_e`` and ``scale``
-keep inf out of that arithmetic.
+``add_ext``, ``dist_e`` and ``pth_power`` then stay exact (``add_ext`` also
+when two doubles sum past the range), and makes a factor below ~1e-308
+zero (inf * 0.0 is nan), so ``add_ext``, ``dist_e`` and ``scale`` keep inf
+out of that arithmetic.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class ConfigurationError(ValueError):
 
 
 INF = math.inf
+FLOAT_MAX = sys.float_info.max
 
 Magnitude = Union[Fraction, float]
 
@@ -55,7 +57,7 @@ class TopBound:
         """The double that stands for the limit, computed once; inf when the
         limit is infinite or past the double range, since every double is below it."""
         limit = self.limit
-        return INF if limit is None or limit > sys.float_info.max else float(limit)
+        return INF if limit is None or limit > FLOAT_MAX else float(limit)
 
     @classmethod
     def finite(cls, q) -> "TopBound":
@@ -170,19 +172,26 @@ class Value:
         return self.mag if isinstance(self.mag, Fraction) else Fraction(self.mag)
 
     # -- ordering (a > b and a >= b fall back to b < a and b <= a) -----------
-    # Two Fractions cross-multiply (denominators are positive): Fraction's
-    # own comparison first runs an ABC isinstance test on the other operand.
+    # A Value against itself answers at once.  Two Fractions cross-multiply
+    # their _numerator and _denominator slots (denominators are positive):
+    # Fraction's own comparison first runs an ABC isinstance test on the
+    # other operand, and its numerator and denominator are Python-level
+    # properties over these slots, which every supported CPython has.
 
     def __lt__(self, other: "Value") -> bool:
+        if self is other:
+            return False
         a, b = self.mag, other.mag
         if type(a) is Fraction and type(b) is Fraction:
-            return a.numerator * b.denominator < b.numerator * a.denominator
+            return a._numerator * b._denominator < b._numerator * a._denominator
         return a < b
 
     def __le__(self, other: "Value") -> bool:
+        if self is other:
+            return True
         a, b = self.mag, other.mag
         if type(a) is Fraction and type(b) is Fraction:
-            return a.numerator * b.denominator <= b.numerator * a.denominator
+            return a._numerator * b._denominator <= b._numerator * a._denominator
         return a <= b
 
     def __repr__(self):
@@ -204,24 +213,30 @@ def exact(q) -> Value:
 def dist_e(a: Value, b: Value) -> Value:
     """Euclidean distance on [0, inf], with d(x, inf) = inf for x != inf
     and d(inf, inf) = 0."""
-    if a.mag == b.mag:
+    if a is b or a.mag == b.mag:
         return ZERO
     if a.is_infinite or b.is_infinite:
         return Value(INF)
-    return Value(abs(a.mag - b.mag))
+    try:
+        return Value(abs(a.mag - b.mag))
+    except OverflowError:  # a Fraction past the double range beside a double
+        return Value(abs(Fraction(a.mag) - Fraction(b.mag)))
 
 
 def add_ext(a: Value, b: Value) -> Value:
     """Extended addition: x + inf = inf.  The sum is no distance and may
     pass top; set against a stored distance, which is at most top, it gives
-    the triangle verdict that the sum clamped to top would give."""
+    the triangle verdict that the sum clamped to top would give.  A finite
+    sum past the double range is taken exactly."""
     if a.is_infinite or b.is_infinite:
         return Value(INF)
     try:
-        return Value(a.mag + b.mag)
-    except OverflowError:
-        # a Fraction past the double range beside a double: add exactly
-        return Value(Fraction(a.mag) + Fraction(b.mag))
+        s = a.mag + b.mag
+    except OverflowError:  # a Fraction past the double range beside a double
+        s = INF
+    if type(s) is float and s == INF:  # or two doubles whose sum passes it
+        s = Fraction(a.mag) + Fraction(b.mag)
+    return Value(s)
 
 
 def scale(v: Value, c: Fraction) -> Value:
@@ -290,7 +305,12 @@ def exceeds(a: Value, b: Value) -> bool:
     both are exact, else by more than rounding_slack(b) in doubles."""
     if not b < a:
         return False
-    return a.is_exact and b.is_exact or a.as_float() - b.as_float() > rounding_slack(b.as_float())
+    if a.is_exact and b.is_exact:
+        return True
+    try:
+        return a.as_float() - b.as_float() > rounding_slack(b.as_float())
+    except OverflowError:  # a lies past the double range, and b is a double below it
+        return True
 
 
 def over_common_denominator(mags) -> tuple:

@@ -562,6 +562,37 @@ class TestPastTheDoubleRange:
         assert code == 0 and err == ""
         assert out == f"state,x,y\nx,0,{distance}\ny,{distance},0\n"
 
+    @pytest.mark.parametrize("method", ["wasserstein", "kantorovich"])
+    def test_two_doubles_summed_past_the_range(self, capsys, method):
+        # top = inf: the diagonal square sums the double 1e308 twice
+        doc = str(FIXTURES / "overflow_double_sum.json")
+        code, out, err = run(capsys, "dist", doc, "--float", "1e-9", "--method", method)
+        assert code == 1 and out == ""
+        assert err == ("error: distance of (u,v) exceeds the float range; "
+                       "compute it in exact mode (--exact)\n")
+        code, out, err = run(capsys, "dist", doc, "--exact", "--method", method)
+        assert code == 0 and err == ""
+        two, one = "2" + "0" * 308, "1" + "0" * 308
+        assert out == (f"state,u,v,x,y\nu,0,{two},inf,inf\nv,{two},0,inf,inf\n"
+                       f"x,inf,inf,0,{one}\ny,inf,inf,{one},0\n")
+
+    @pytest.mark.parametrize("mode", [["--exact"], ["--float", "1e-9"]], ids=["exact", "float"])
+    def test_pnorm_of_doubles_whose_squares_sum_past_the_range(self, capsys, mode):
+        # top = inf: the squares of 1.3e154 sum to 3.38e308, their root does not
+        doc = str(FIXTURES / "pnorm_squares_past_double.json")
+        code, out, err = run(capsys, "dist", doc, *mode)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].split(",")[2] == "1.838477631084937e+154"
+
+    def test_triangle_screen_of_a_double_beside_a_fraction_past_the_range(self, capsys):
+        # the p-norm root 1.5811388300841895 shares a table with 1e400
+        doc = str(FIXTURES / "overflow_triangle_screen.json")
+        code, out, err = run(capsys, "dist", doc, "--exact")
+        assert code == 0 and err == ""
+        d, big = "1.5811388300841895", "1" + "0" * 400
+        assert out == (f"state,a,b,c,e\na,0,{d},inf,inf\nb,{d},0,inf,inf\n"
+                       f"c,inf,inf,0,{big}\ne,inf,inf,{big},0\n")
+
     @pytest.mark.parametrize("mode, zero", [(["--exact"], "0"), (["--float", "1e-9"], "0.0")])
     def test_pnorm_under_a_top_past_the_double_range(self, capsys, mode, zero):
         # top = 1e400 has no double; the root of (1 + 4) / 2 is one

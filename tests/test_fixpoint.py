@@ -360,9 +360,37 @@ def _typed_entries(table):
     return [(a, b, _typed(v)) for a, b, v in table.entries()]
 
 
+# points on a line: of their distances 1/10, 7/30 and 2/5 round up to
+# doubles, and 1/3, 17/30 and 2/3 round down
+LINE = {"p": F(0), "q": F(1, 10), "r": F(1, 3), "s": F(2, 3)}
+
+
+def line_float_system(seed, reads=True):
+    """Float mode on 6 states whose valuations lie on LINE: the lift of a
+    pair whose constant part dominates stays an exact Fraction, which the
+    table stores as its nearest double.  With reads, each state also has
+    one or two successors, read at discount 1/2 (Product of Const and
+    FinPow); without, the expression is the Const alone, so the pairs read
+    nothing after step 1."""
+    rng = random.Random(seed)
+    k = PseudometricTable(
+        "pqrs", {(a, b): Value(abs(LINE[a] - LINE[b])) for a, b in combinations("pqrs", 2)},
+        TOP_INF,
+    )
+    states = [f"s{i}" for i in range(6)]
+    mode = NumericMode.approx(1e-9)
+    if not reads:
+        return System(states, Const(k, name="k"), {s: rng.choice("pqrs") for s in states},
+                      TOP_INF, mode)
+    alpha = {s: (rng.choice("pqrs"), frozenset(rng.sample(states, rng.randint(1, 2))))
+             for s in states}
+    return System(states, Product(Const(k, name="k"), FinPow(Id(F(1, 2)))), alpha, TOP_INF, mode)
+
+
 class TestIncrementalIteration:
-    """A pair is re-lifted only when an entry its lift reads moved; every
-    step still equals a plain Jacobi step that re-lifts every pair."""
+    """A pair is re-lifted only when an entry its lift reads moved, and only
+    those pairs are visited; every step still equals a plain Jacobi step
+    that re-lifts every pair."""
 
     def assert_same_as_jacobi(self, sys_, opts):
         opts = dataclasses.replace(opts, trace=True)
@@ -388,6 +416,17 @@ class TestIncrementalIteration:
         for seed in range(300, 330):
             for mode in (EXACT, NumericMode.approx(1e-9)):
                 self.assert_same_as_jacobi(pnorm_system(seed, mode), IterationOptions(max_iter=60))
+
+    def test_exact_lifts_rounded_both_ways_in_float_mode(self):
+        # an unvisited pair whose last lift rounded up or down takes no step
+        for seed in range(20):
+            self.assert_same_as_jacobi(line_float_system(seed), IterationOptions())
+
+    def test_pairs_that_read_nothing_after_step_1(self):
+        for seed in range(5):
+            sys_ = line_float_system(seed, reads=False)
+            self.assert_same_as_jacobi(sys_, IterationOptions())
+            assert behavioral_distances(sys_).iterations == 2
 
     @pytest.mark.parametrize("name, text", DEMO_SYSTEMS, ids=[n for n, _ in DEMO_SYSTEMS])
     @pytest.mark.parametrize("method", [KANTOROVICH, WASSERSTEIN])

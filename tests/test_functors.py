@@ -326,6 +326,19 @@ class TestTriangleCheckAgainstOracle:
         assert not any(type(m) is F for row in rows.values() for m in row)
         assert [rows[i][i] for i in range(3)] == [0, 0, 0]
 
+    def test_fraction_past_the_double_range_beside_doubles(self):
+        # no double meets 1e400, so every magnitude is scaled exactly
+        huge = Value(F(10) ** 400)
+        entries = {("a", "b"): Value(0.5), ("a", "c"): huge, ("b", "c"): huge}
+        table = PseudometricTable(["a", "b", "c"], entries, TOP_INF)
+        rows = PseudometricTable._scaled({i: table._row(i) for i in range(3)})
+        assert all(type(m) is int for row in rows.values() for m in row)
+        assert rows[0][1] * 2 * 10**400 == rows[0][2]
+        with pytest.raises(ShapeError, match="triangle inequality fails"):
+            PseudometricTable(
+                ["a", "b", "c"], {**entries, ("a", "c"): Value(F(10) ** 400 + 1)}, TOP_INF
+            )
+
     def test_infinite_entries(self):
         inf, one = Value(INF), Value(F(1))
         for entries in [

@@ -106,6 +106,9 @@ class TestValueInvariants:
                 assert (Value(a) <= Value(b)) == (a <= b), (a, b)
                 assert (Value(a) > Value(b)) == (a > b), (a, b)
                 assert (Value(a) >= Value(b)) == (a >= b), (a, b)
+        for a in mags:  # a Value against itself answers without its magnitude
+            v = Value(a)
+            assert not v < v and v <= v and not v > v and v >= v, a
 
 
 grid_one = st.fractions(min_value=0, max_value=1, max_denominator=50)
@@ -293,6 +296,11 @@ class TestExceeds:
             assert not exceeds(finite, Value(INF))
         assert not exceeds(Value(INF), Value(INF))
 
+    def test_fraction_past_the_double_range_against_a_double(self):
+        huge = v1(F(10) ** 400)
+        assert exceeds(huge, Value(1e308))
+        assert not exceeds(Value(1e308), huge)
+
 
 class TestTopDouble:
     def test_a_tenth_gives_the_double_a_tenth(self):
@@ -322,6 +330,19 @@ def test_add_ext_stays_exact_past_the_double_range():
     expected = Value(F(10) ** 400 + F(0.5))
     for a, b in ((huge, Value(0.5)), (Value(0.5), huge)):
         out = add_ext(a, b)
+        assert out == expected and type(out.mag) is F
+
+
+def test_two_doubles_summed_past_the_double_range_stay_exact():
+    out = add_ext(Value(1e308), Value(1e308))
+    assert out == Value(F(1e308) * 2) and type(out.mag) is F
+
+
+def test_dist_e_stays_exact_past_the_double_range():
+    huge = v1(F(10) ** 400)
+    expected = Value(F(10) ** 400 - F(0.5))
+    for a, b in ((huge, Value(0.5)), (Value(0.5), huge)):
+        out = dist_e(a, b)
         assert out == expected and type(out.mag) is F
 
 
