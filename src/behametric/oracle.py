@@ -6,7 +6,10 @@ finite sets, by the one forced coupling for the diagonal square and by
 transportation-polytope vertex enumeration for distributions, and, for the
 Kantorovich side, which the engine computes by transport, the
 nonexpansiveness LP itself, solved by a tableau simplex and by
-polytope-vertex enumeration.
+polytope-vertex enumeration.  Both enumerations run on Python ints, scaled
+here and not by the engine's helpers: transport plans over the LCM of the
+masses, and LP vertices by a depth-first walk over the active sets with
+fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .functors import DiagSquare, Dist, FinPow, Id, sorted_structs
 from .values import INF, Value, add_ext, scale, top
@@ -102,37 +105,46 @@ def transportation_vertices(supply, demand):
     for nonempty supply and demand.
 
     Vertices correspond to spanning trees of m+n-1 cells; each candidate
-    cell set yields at most one plan, kept when nonnegative.
+    cell set yields at most one plan, kept when nonnegative.  The masses are
+    scaled to ints over their LCM once, and each plan is peeled on ints.
     """
     m, n = len(supply), len(demand)
     if sum(supply) != sum(demand):
         raise ValueError("unbalanced instance")
+    masses = [Fraction(x) for x in (*supply, *demand)]
+    unit = lcm(*(x.denominator for x in masses))
+    masses = [x.numerator * (unit // x.denominator) for x in masses]
     cells = [(i, j) for i in range(m) for j in range(n)]
     seen = set()
     for subset in itertools.combinations(cells, m + n - 1):
-        plan = _solve_tree(supply, demand, subset)
-        if plan is None:
+        flow = _solve_tree(masses, m, subset)
+        if flow is None:
             continue
-        key = tuple(tuple(row) for row in plan)
+        # the nonzero cells with their flows: the flows alone would merge
+        # plans that carry one flow list on different cells
+        key = tuple((c, flow[c]) for c in subset if flow[c])
         if key not in seen:
             seen.add(key)
+            plan = [[ZERO] * n for _ in range(m)]
+            for (i, j), x in key:
+                plan[i][j] = Fraction(x, unit)
             yield plan
 
 
-def _solve_tree(supply, demand, cells):
-    """The plan on a candidate basic cell set, found by peeling leaves: a
-    row or column with one cell left sends that cell everything it still
-    holds.  None when peeling stalls on a cycle, a flow turns negative, or
-    a mass is left over."""
-    m, n = len(supply), len(demand)
-    # lines 0..m-1 are the rows, m..m+n-1 the columns
-    held = [Fraction(x) for x in (*supply, *demand)]
-    lines = [[] for _ in range(m + n)]
+def _solve_tree(masses, m, cells):
+    """The int flow of each cell of a candidate basic cell set, found by
+    peeling leaves: a row or column with one cell left sends that cell
+    everything it still holds.  masses lists the m row masses, then the
+    column masses.  None when peeling stalls on a cycle, a flow turns
+    negative, or a mass is left over."""
+    # lines 0..m-1 are the rows, m.. the columns
+    held = list(masses)
+    lines = [[] for _ in held]
     for i, j in cells:
         lines[i].append((i, j))
         lines[m + j].append((i, j))
     leaves = [k for k, cs in enumerate(lines) if len(cs) == 1]
-    plan = [[ZERO] * n for _ in range(m)]
+    flow = {}
     while leaves:
         k = leaves.pop()
         if len(lines[k]) != 1:
@@ -141,7 +153,7 @@ def _solve_tree(supply, demand, cells):
         x = held[k]
         if x < 0:
             return None
-        plan[i][j] = x
+        flow[i, j] = x
         for end in (i, m + j):
             held[end] -= x
             lines[end].remove((i, j))
@@ -149,40 +161,7 @@ def _solve_tree(supply, demand, cells):
                 leaves.append(end)
     if any(lines) or any(held):
         return None
-    return plan
-
-
-def _solve_square(rows, nvars):
-    """Gaussian elimination for an (possibly overdetermined) exact system;
-    returns the unique solution or None (singular / inconsistent)."""
-    aug = [list(coeffs) + [rhs] for coeffs, rhs in rows]
-    r = 0
-    pivots = []
-    for c in range(nvars):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            return None  # free variable: not a vertex-determining system
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pr = aug[r]
-        inv = ONE / pr[c]
-        aug[r] = pr = [v * inv for v in pr]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * pv for v, pv in zip(aug[i], pr)]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    if r < nvars:
-        return None
-    for i in range(r, len(aug)):
-        if aug[i][nvars] != 0:
-            return None  # inconsistent
-    sol = [ZERO] * nvars
-    for row_i, c in enumerate(pivots):
-        sol[c] = aug[row_i][nvars]
-    return sol
+    return flow
 
 
 # ---------------------------------------------------------------------------
@@ -295,31 +274,70 @@ def _pivot(tableau, basis, r, c):
 
 def lp_vertices(lp: LinearProgram):
     """All vertices of the LP's feasible region by active-set enumeration
-    over the hyperplanes x_i = 0 and the constraint rows."""
+    over the hyperplanes x_i = 0 and the constraint rows.
+
+    Each hyperplane is scaled to ints, and the active sets are walked
+    depth-first in lexicographic order, the chosen rows kept in reduced
+    echelon form by fraction-free elimination.  A row that reduces to zero
+    coefficients makes every active set holding the rows chosen so far
+    singular, so that whole subtree is skipped.
+    """
     n = len(lp.objective)
     if n > 6:
         raise OracleScaleError("vertex oracle capped at 6 variables")
-    hyperplanes = [([ONE if k == i else ZERO for k in range(n)], ZERO) for i in range(n)]
-    hyperplanes += lp.constraints
-    if comb(len(hyperplanes), n) > MAX_BASES:
+    if comb(n + len(lp.constraints), n) > MAX_BASES:
         raise OracleScaleError("too many candidate active sets")
+    # the hyperplanes' coefficients, then their rhs, over the LCM of their
+    # denominators: x_i = 0, then the constraint rows
+    rows = [[int(k == i) for k in range(n + 1)] for i in range(n)]
+    for coeffs, rhs in lp.constraints:
+        unit = lcm(*(c.denominator for c in coeffs), rhs.denominator)
+        rows.append([c.numerator * (unit // c.denominator) for c in (*coeffs, rhs)])
     seen = set()
-    for extra in itertools.combinations(range(len(hyperplanes)), n):
-        sol = _solve_square([hyperplanes[k] for k in extra], n)
-        if sol is None:
-            continue
-        if not _feasible(lp, sol):
-            continue
-        key = tuple(sol)
-        if key not in seen:
+
+    def walk(echelon, start):
+        # echelon: (pivot column, row) pairs; each row is divided by the gcd
+        # of its entries, its pivot is positive, the other pivots' columns zero
+        if len(echelon) == n:
+            # rows p x_c = b with gcd(p, b) = 1, so X over the LCM D of the
+            # pivots is the vertex in lowest terms: one key per vertex, and
+            # a repeat of a degenerate vertex is not tested again
+            den = lcm(*(row[c] for c, row in echelon))
+            x = [0] * n
+            for c, row in echelon:
+                x[c] = row[n] * (den // row[c])
+            key = (tuple(x), den)
+            if key in seen:
+                return
             seen.add(key)
-            yield sol
+            if all(xi >= 0 for xi in x) and all(
+                sum(a * xi for a, xi in zip(row, x)) <= row[n] * den for row in rows[n:]
+            ):
+                yield [Fraction(xi, den) for xi in x]
+            return
+        for k in range(start, len(rows) - n + len(echelon) + 1):
+            new = rows[k]
+            for c, row in echelon:
+                f = new[c]
+                if f:
+                    new = [row[c] * a - f * b for a, b in zip(new, row)]
+            pivot = next((c for c in range(n) if new[c]), None)
+            if pivot is None:
+                continue
+            g = gcd(*new) if new[pivot] > 0 else -gcd(*new)
+            new = [a // g for a in new]
+            reduced = []
+            for c, row in echelon:
+                f = row[pivot]
+                if f:
+                    row = [new[pivot] * a - f * b for a, b in zip(row, new)]
+                    g = gcd(*row)
+                    row = [a // g for a in row]
+                reduced.append((c, row))
+            reduced.append((pivot, new))
+            yield from walk(reduced, k + 1)
 
-
-def _feasible(lp, x):
-    return all(xi >= 0 for xi in x) and all(
-        sum(c * xi for c, xi in zip(coeffs, x)) <= rhs for coeffs, rhs in lp.constraints
-    )
+    yield from walk([], 0)
 
 
 def kantorovich_vertex_oracle(lp: LinearProgram):

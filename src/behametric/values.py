@@ -78,9 +78,14 @@ class TopBound:
         if self.limit is not None:
             if v.is_infinite:
                 raise ConfigurationError("infinite value under a finite bound")
-            m = v.mag
-            if m > (self.limit if isinstance(m, Fraction) else self.float_limit):
-                raise ConfigurationError(f"value {m} exceeds top {self.limit}")
+            m, limit = v.mag, self.limit
+            if type(m) is Fraction and type(limit) is Fraction:
+                # cross-multiplied slots, as in Value.__lt__
+                over = m._numerator * limit._denominator > limit._numerator * m._denominator
+            else:
+                over = m > (limit if isinstance(m, Fraction) else self.float_limit)
+            if over:
+                raise ConfigurationError(f"value {m} exceeds top {limit}")
         return v
 
     def __repr__(self):
@@ -127,7 +132,7 @@ class NumericMode:
 EXACT = NumericMode.exact()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """A nonnegative magnitude, with no bound of its own.
 
@@ -141,9 +146,15 @@ class Value:
 
     def __post_init__(self):
         m = self.mag
-        if not isinstance(m, (Fraction, float)):
+        # a Fraction's sign is its numerator's; Fraction's own m < 0 first
+        # runs an ABC isinstance test on the int 0
+        if type(m) is Fraction:
+            negative = m._numerator < 0
+        elif isinstance(m, (Fraction, float)):
+            negative = m < 0
+        else:
             raise ConfigurationError(f"bad magnitude {m!r}")
-        if m < 0:
+        if negative:
             raise ConfigurationError(f"negative value {m}")
 
     # -- predicates ---------------------------------------------------------

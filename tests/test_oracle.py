@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -148,6 +149,118 @@ class TestLpVertexOracle:
         assert [F(0), F(0)] in vs and [F(0), F(1)] in vs and [F(1), F(0)] in vs
         for v in vs:
             assert v[0] + v[1] <= 1
+
+
+def _solve(equations, nvars):
+    """The unique solution of the (coefficients, rhs) equations by Fraction
+    Gauss-Jordan elimination; None when there is none or it is not unique."""
+    aug = [[*coeffs, rhs] for coeffs, rhs in equations]
+    for col in range(nvars):
+        p = next((r for r in range(col, len(aug)) if aug[r][col]), None)
+        if p is None:
+            return None
+        aug[col], aug[p] = aug[p], aug[col]
+        pivot = [v / aug[col][col] for v in aug[col]]
+        aug[col] = pivot
+        aug = [row if r == col or not row[col] else
+               [v - row[col] * w for v, w in zip(row, pivot)] for r, row in enumerate(aug)]
+    if any(row[nvars] for row in aug[nvars:]):
+        return None
+    return tuple(row[nvars] for row in aug[:nvars])
+
+
+def _reference_vertices(lp):
+    """The feasible solutions of every square active set, each system solved
+    on its own."""
+    n = len(lp.objective)
+    planes = [([F(k == i) for k in range(n)], F(0)) for i in range(n)] + lp.constraints
+    out = set()
+    for active in itertools.combinations(planes, n):
+        x = _solve(active, n)
+        if x is not None and all(xi >= 0 for xi in x) and all(
+            sum(c * xi for c, xi in zip(coeffs, x)) <= rhs for coeffs, rhs in lp.constraints
+        ):
+            out.add(x)
+    return out
+
+
+def _reference_plans(supply, demand):
+    """The nonnegative plans of every (m+n-1)-cell set whose marginal
+    equations have one solution."""
+    m, n = len(supply), len(demand)
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    plans = set()
+    for basis in itertools.combinations(cells, m + n - 1):
+        equations = [([F(i == a) for a, _ in basis], s) for i, s in enumerate(supply)]
+        equations += [([F(j == b) for _, b in basis], t) for j, t in enumerate(demand)]
+        flow = _solve(equations, len(basis))
+        if flow is not None and min(flow) >= 0:
+            plan = dict(zip(basis, flow))
+            plans.add(tuple(tuple(plan.get((i, j), F(0)) for j in range(n)) for i in range(m)))
+    return plans
+
+
+def _random_row(rng, n):
+    kind = rng.random()
+    if kind < 0.15:  # all-zero coefficients
+        return [F(0)] * n, F(rng.randint(0, 2))
+    rhs = F(0) if kind < 0.35 else F(rng.randint(1, 6), rng.randint(1, 3))
+    return [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)], rhs
+
+
+class TestAgainstSquareSystems:
+    """The depth-first integer enumerations find what solving every square
+    system on its own finds, each vertex once."""
+
+    def test_lp_vertices(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            rows = []
+            for _ in range(rng.randint(0, 3)):
+                row = _random_row(rng, n)
+                rows.append(row)
+                if rng.random() < 0.2:  # a duplicate or a multiple
+                    rows.append(rng.choice([row, ([3 * c for c in row[0]], 3 * row[1])]))
+            if rng.random() < 0.5:
+                rows += _box(n, F(rng.randint(0, 3)))
+            lp = LinearProgram([F(0)] * n, rows)
+            found = [tuple(v) for v in lp_vertices(lp)]
+            assert len(found) == len(set(found))
+            assert set(found) == _reference_vertices(lp), rows
+            assert all(type(x) is F for v in found for x in v)
+
+    def test_transportation_vertices(self):
+        rng = random.Random(6)
+        for _ in range(80):
+            # integer masses, zeros included, split into demands at random cuts
+            supply = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+            supply[0] += 1
+            total = sum(supply)
+            cuts = sorted(rng.randint(0, total) for _ in range(rng.randint(0, 2)))
+            demand = [F(b - a, total) for a, b in zip([0, *cuts], [*cuts, total])]
+            supply = [F(s, total) for s in supply]
+            found = [tuple(map(tuple, plan)) for plan in transportation_vertices(supply, demand)]
+            assert len(found) == len(set(found))
+            assert set(found) == _reference_plans(supply, demand), (supply, demand)
+            assert all(type(x) is F for plan in found for row in plan for x in row)
+
+    def test_degenerate_vertex_yielded_once(self):
+        # six rows through (1, 1) of the unit square: x1 <= 1 twice, x2 <= 1
+        # and three diagonals, so every pair but the twice-written row is an
+        # active set of that corner
+        rows = _box(2, F(1)) + _box(2, F(1))[:1] + [
+            ([F(1), F(1)], F(2)),
+            ([F(2), F(1)], F(3)),
+            ([F(1), F(2)], F(3)),
+        ]
+        lp = LinearProgram([F(1), F(1)], rows)
+        corner = (F(1), F(1))
+        meeting = [a for a in itertools.combinations(rows, 2) if _solve(a, 2) == corner]
+        assert len(meeting) == 14
+        found = [tuple(v) for v in lp_vertices(lp)]
+        assert found.count(corner) == 1
+        assert set(found) == {(0, 0), (1, 0), (0, 1), corner}
 
 
 class TestBudget:

@@ -82,6 +82,28 @@ class TestValueInvariants:
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError, match="negative value -1/2"):
             Value(F(-1, 2))
+        with pytest.raises(ConfigurationError, match="negative value -0.5"):
+            Value(-0.5)
+        with pytest.raises(ConfigurationError, match="bad magnitude 1"):
+            Value(1)
+
+    def test_top_check_verdicts(self):
+        # a Fraction against a Fraction limit cross-multiplies, anything else
+        # compares with the limit's double; both must judge as < does
+        for limit in (F(1), F(10) ** 400):
+            bound = TopBound.finite(limit)
+            for m in (F(0), F(1, 3), F(1), F(1) + F(1, 10**30), limit, limit + 1,
+                      0.5, 1.0, 1.0000000000000002, 1e308, INF):
+                over = m == INF or m > (limit if isinstance(m, F) else bound.float_limit)
+                if over:
+                    with pytest.raises(ConfigurationError):
+                        bound.check(Value(m))
+                else:
+                    assert bound.check(Value(m)) == Value(m), (limit, m)
+
+    def test_values_have_no_dict(self):
+        assert not hasattr(Value(F(1, 2)), "__dict__")
+        assert not hasattr(Value(0.5), "__dict__")
 
     def test_float_marks_inexact(self):
         v = Value(0.5)
