@@ -149,14 +149,15 @@ class System:
 
     def __post_init__(self):
         self.states = tuple(self.states)
-        if len(set(self.states)) != len(self.states):
+        carrier = frozenset(self.states)  # one set validates every state
+        if len(carrier) != len(self.states):
             raise SchemaError("states", "duplicate state names")
         _check_bound(self.expr, self.top)
         missing = [s for s in self.states if s not in self.alpha]
         if missing:
             raise SchemaError("alpha", f"missing transitions for {missing}")
         for s in self.states:
-            _validated(self.expr, self.states, self.alpha[s], f"alpha[{s}]")
+            _validated(self.expr, carrier, self.alpha[s], f"alpha[{s}]")
 
     def __eq__(self, other):
         return (
@@ -188,10 +189,11 @@ class ProbTS:
         self.c = Fraction(self.c)
         if not 0 < self.c < 1:
             raise SchemaError("c", f"discount {self.c} not in (0, 1)")
+        known = frozenset(self.states)
         for s in self.states:
             trans = self.transitions.get(s, {})
             for tgt in trans:
-                if tgt not in self.states:
+                if tgt not in known:
                     raise SchemaError(f"transitions[{s}]", f"unknown state {tgt!r}")
             total = sum(trans.values(), Fraction(0)) + Fraction(
                 self.terminate.get(s, 0)
@@ -226,6 +228,7 @@ class MetricTS:
         for name, table in self.propositions:
             if table.bound != TOP_INF:
                 raise SchemaError(f"propositions[{name}]", "tables must use top = inf")
+        known = frozenset(self.states)
         for s in self.states:
             vals = self.valuation.get(s, {})
             for name, table in self.propositions:
@@ -235,7 +238,7 @@ class MetricTS:
                         f"valuation[{s}][{name}]", f"{atom!r} not in the carrier"
                     )
             for tgt in self.tau.get(s, frozenset()):
-                if tgt not in self.states:
+                if tgt not in known:
                     raise SchemaError(f"tau[{s}]", f"unknown state {tgt!r}")
 
 

@@ -420,8 +420,11 @@ def check_expr_bound(expr: FunctorExpr, bound: TopBound) -> None:
 
 
 def validate(expr: FunctorExpr, carrier, t, path="t") -> None:
-    """Accept iff t is a well-formed element of F(carrier)."""
-    carrier = set(carrier)
+    """Accept iff t is a well-formed element of F(carrier).  A caller that
+    validates many structures on one carrier hands it in as a frozenset,
+    which is used as it is."""
+    if type(carrier) is not frozenset:
+        carrier = frozenset(carrier)
 
     def in_carrier(x, where):
         if not isinstance(x, str) or x not in carrier:

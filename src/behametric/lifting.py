@@ -77,27 +77,36 @@ class LiftingEngine:
     # -- recursion ----------------------------------------------------------
 
     def _lift(self, expr, t1, t2) -> Value:
-        # a leaf reads one entry, which costs less than a memo round trip
-        if type(expr) is Id:
-            v = self.d.get(t1, t2)
-            return v if expr.unit else scale(v, expr.discount)
-        if type(expr) is Const:
+        # The memo keeps the nodes whose lift costs more than a dict round
+        # trip: Product, FinPow, Dist, DiagSquare and a discounted Id, whose
+        # scaling is Fraction arithmetic and whose atoms hash in C.  Id(1)
+        # and Const read one entry.  A Coproduct lifts its side, which keys
+        # the memo itself where needed: its own key would hash a Tagged pair
+        # in Python.
+        kind = type(expr)
+        if kind is Id:
+            if expr.unit:
+                return self.d.get(t1, t2)
+        elif kind is Coproduct:
+            if t1.tag != t2.tag:
+                return top(self.bound)
+            side = expr.left if t1.tag == "left" else expr.right
+            return self._lift(side, t1.value, t2.value)
+        elif kind is Const:
             return expr.space.get(t1, t2)
         # structures are canonical and hashable, so they key the memo as is
         key = (id(expr), t1, t2)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        out = self._lift_raw(expr, t1, t2)
+        if kind is Id:
+            out = scale(self.d.get(t1, t2), expr.discount)
+        else:
+            out = self._lift_raw(expr, t1, t2)
         self._memo[key] = self._memo[(id(expr), t2, t1)] = out  # symmetry for free
         return out
 
     def _lift_raw(self, expr, t1, t2) -> Value:
-        if isinstance(expr, Coproduct):
-            if t1.tag != t2.tag:
-                return top(self.bound)
-            side = expr.left if t1.tag == "left" else expr.right
-            return self._lift(side, t1.value, t2.value)
         if isinstance(expr, Product):
             v1 = self._lift(expr.left, t1[0], t2[0])
             v2 = self._lift(expr.right, t1[1], t2[1])

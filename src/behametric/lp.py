@@ -6,8 +6,13 @@ over ints, the masses and the costs each scaled by the LCM of their
 denominators.  An instance's first solve starts from the north-west corner;
 each later solve starts from the optimal basis of the one before.  An
 instance keeps its masses and changes only its costs, so that basis is still
-feasible and Bland's rule still terminates from it.  It serves both liftings
-of a distribution and the Kantorovich lifting of the diagonal square.
+feasible and Bland's rule still terminates from it.  A solve reads each
+cost's magnitude once.  The instance also keeps its basis's walk, the order
+in which the potentials solve from row 0 and the non-basic cells in Bland's
+row-major order, until a pivot or a cold start drops it: most warm solves do
+not pivot, and pay only for the potentials and the pricing.  It serves both
+liftings of a distribution and the Kantorovich lifting of the diagonal
+square.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ class TransportationInstance:
     demands are nonnegative rationals with equal totals, not necessarily 1:
     the two components of a diagonal square ship a mass of up to 2.  A
     caller may replace the costs between solves but never the masses:
-    ``scaled`` holds them times ``unit`` as ints, and ``basis`` the optimal
-    basis of the last solve, where the next one starts.
+    ``scaled`` holds them times ``unit`` as ints, ``basis`` the optimal
+    basis of the last solve, where the next one starts, and ``walk`` what a
+    solve reads of that basis (see ``_basis_walk``).
     """
 
     supply: list
@@ -37,8 +43,10 @@ class TransportationInstance:
     cost: list  # matrix of Value
     # (plan, rows, cols) as _north_west_corner builds them, flows times unit
     basis: tuple | None = field(default=None, repr=False, compare=False)
-    # the basis's plan as Fractions, until a pivot or a cold start moves it
+    # the basis's plan as Fractions and its _basis_walk, each kept until a
+    # pivot or a cold start moves the basis
     plan: list | None = field(default=None, init=False, repr=False, compare=False)
+    walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
     unit: int = field(init=False, repr=False, compare=False)
     scaled: tuple = field(init=False, repr=False, compare=False)  # (supply, demand)
 
@@ -72,30 +80,51 @@ def solve_transportation(inst: TransportationInstance):
     back.  The plan is a fresh matrix of Fractions.
     """
     m, n = len(inst.supply), len(inst.demand)
-    finite, den = over_common_denominator(
-        [v.mag for row in inst.cost for v in row if not v.is_infinite])
+    # each magnitude is read once, row-major: a float is a forbidden cell
+    # (INF, scaled as 0 and then set to big) or a double
+    cost = [v.mag for row in inst.cost for v in row]
+    forbidden, exact = [], True
+    for k, x in enumerate(cost):
+        if type(x) is float:
+            if x == INF:
+                forbidden.append(k)
+                cost[k] = 0
+            else:
+                exact = False
+    cost, den = over_common_denominator(cost)
     # the exact big-M of the lexicographic cost (forbidden, finite): the
     # finite part of a reduced cost sums under 2(m + n) costs, below big
-    big = 2 * (m + n) * max(finite, default=0) + 1
-    finite = iter(finite)
-    cost = [[big if v.is_infinite else next(finite) for v in row] for row in inst.cost]
+    big = 2 * (m + n) * max(cost, default=0) + 1
+    for k in forbidden:
+        cost[k] = big
     if inst.basis is None:
-        inst.basis, inst.plan = _north_west_corner(*inst.scaled), None
+        inst.basis, inst.plan, inst.walk = _north_west_corner(*inst.scaled), None, None
     plan, rows, cols = inst.basis  # pivoted in place
     while True:
-        entering = _entering_cell(cost, rows, cols)
-        if entering is None:
+        if inst.walk is None:
+            inst.walk = _basis_walk(rows, cols)
+        order, nonbasic = inst.walk
+        # the MODI potentials solve u_i + v_j = c_ij on the basic cells with
+        # u_0 = 0; node i holds u_i and node m + j holds v_j
+        pot = [0] * (m + n)
+        for k, src, dst in order:
+            pot[dst] = cost[k] - pot[src]
+        # the first non-basic cell in row-major order whose reduced cost
+        # c_ij - u_i - v_j is negative enters (Bland); none: optimal
+        for k, i, mj in nonbasic:
+            if cost[k] < pot[i] + pot[mj]:
+                break
+        else:
             break
-        _pivot_cycle(plan, rows, cols, *entering)
-        inst.plan = None
+        _pivot_cycle(plan, rows, cols, i, mj - m)
+        inst.walk = inst.plan = None
     flows = [(i, j) for i in range(m) for j in rows[i] if plan[i][j]]
-    if any(inst.cost[i][j].is_infinite for i, j in flows):
+    if forbidden and any(cost[i * n + j] == big for i, j in flows):
         return Value(INF), None
-    total = sum(plan[i][j] * cost[i][j] for i, j in flows)
+    total = sum(plan[i][j] * cost[i * n + j] for i, j in flows)
     den *= inst.unit
     # every scale is positive, so each comparison and pivot was the rationals'
     # own; int true division rounds correctly, to the double nearest the optimum
-    exact = all(v.is_exact for row in inst.cost for v in row)
     try:
         value = Fraction(total, den) if exact else total / den
     except OverflowError:  # an optimum past the double range stays exact
@@ -131,33 +160,33 @@ def _north_west_corner(supply, demand):
             j += 1
 
 
-def _entering_cell(cost, rows, cols):
-    """First non-basic cell in row-major order whose reduced cost
-    c_ij - u_i - v_j is negative (Bland), or None at the optimum.  The MODI
-    potentials solve u_i + v_j = c_ij on the basic cells with u_0 = 0."""
+def _basis_walk(rows, cols):
+    """(order, nonbasic): what a solve reads of the basis tree, built once
+    per basis.  order lists the basic cells (k, src, dst) in the order the
+    potentials solve from row 0: node dst's potential is cost k minus node
+    src's, rows being nodes 0..m-1 and columns m..m+n-1.  nonbasic lists the
+    other cells (k, i, m + j) in row-major order.  k = i * n + j is a cell's
+    place in the row-major cost list."""
     m, n = len(rows), len(cols)
-    u, v = [0] + [None] * (m - 1), [None] * n  # None until the walk reaches it
-    stack = [0]  # rows are nodes 0..m-1, columns m..m+n-1
+    order, stack = [], [0]
+    seen = [True] + [False] * (m + n - 1)
     while stack:
         node = stack.pop()
         if node < m:
             for j in rows[node]:
-                if v[j] is None:
-                    v[j] = cost[node][j] - u[node]
+                if not seen[m + j]:
+                    seen[m + j] = True
+                    order.append((node * n + j, node, m + j))
                     stack.append(m + j)
         else:
             j = node - m
             for i in cols[j]:
-                if u[i] is None:
-                    u[i] = cost[i][j] - v[j]
+                if not seen[i]:
+                    seen[i] = True
+                    order.append((i * n + j, node, i))
                     stack.append(i)
-    # a basic cell's reduced cost is exactly 0, so it never enters
-    for i in range(m):
-        row, ui = cost[i], u[i]
-        for j in range(n):
-            if row[j] < ui + v[j]:
-                return i, j
-    return None
+    nonbasic = [(i * n + j, i, m + j) for i in range(m) for j in range(n) if j not in rows[i]]
+    return order, nonbasic
 
 
 def _pivot_cycle(plan, rows, cols, i0, j0):

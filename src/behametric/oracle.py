@@ -14,7 +14,6 @@ fraction-free elimination.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -104,9 +103,12 @@ def transportation_vertices(supply, demand):
     """All basic feasible solutions of the balanced transportation polytope,
     for nonempty supply and demand.
 
-    Vertices correspond to spanning trees of m+n-1 cells; each candidate
-    cell set yields at most one plan, kept when nonnegative.  The masses are
-    scaled to ints over their LCM once, and each plan is peeled on ints.
+    Vertices correspond to spanning trees of m+n-1 cells; each tree yields
+    at most one plan, kept when nonnegative.  The cell sets are walked
+    depth-first in ``itertools.combinations`` order, and a cell that would
+    close a cycle among the rows and columns already joined is skipped with
+    every set that extends it: such a set is no tree.  The masses are scaled
+    to ints over their LCM once, and each plan is peeled on ints.
     """
     m, n = len(supply), len(demand)
     if sum(supply) != sum(demand):
@@ -115,8 +117,23 @@ def transportation_vertices(supply, demand):
     unit = lcm(*(x.denominator for x in masses))
     masses = [x.numerator * (unit // x.denominator) for x in masses]
     cells = [(i, j) for i in range(m) for j in range(n)]
+    size = m + n - 1
+
+    def trees(start, comp, chosen):
+        # comp labels each line's component: rows 0..m-1, then the columns
+        if len(chosen) == size:
+            yield tuple(chosen)
+            return
+        for c in range(start, len(cells) - size + len(chosen) + 1):
+            i, j = cells[c]
+            a, b = comp[i], comp[m + j]
+            if a != b:
+                chosen.append(cells[c])
+                yield from trees(c + 1, [a if x == b else x for x in comp], chosen)
+                chosen.pop()
+
     seen = set()
-    for subset in itertools.combinations(cells, m + n - 1):
+    for subset in trees(0, list(range(m + n)), []):
         flow = _solve_tree(masses, m, subset)
         if flow is None:
             continue

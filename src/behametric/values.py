@@ -13,13 +13,13 @@ above every Fraction, and it absorbs under + and under * by a positive
 scale; the one undefined case, inf - inf, is handled in ``dist_e``.
 
 Each numeric rule is stated here once: ``exceeds`` judges rounding,
-``TopBound.float_limit`` is top's double, and ``over_common_denominator``
-writes magnitudes as ints over one denominator.  A Fraction meeting a
-double is converted to a double first, which overflows past ~1.8e308, so
-``add_ext``, ``dist_e`` and ``pth_power`` then stay exact (``add_ext`` also
-when two doubles sum past the range), and makes a factor below ~1e-308
-zero (inf * 0.0 is nan), so ``add_ext``, ``dist_e`` and ``scale`` keep inf
-out of that arithmetic.
+``TopBound.float_limit`` is top's double and ``TopBound.value`` its Value,
+and ``over_common_denominator`` writes magnitudes as ints over one
+denominator.  A Fraction meeting a double is converted to a double first,
+which overflows past ~1.8e308, so ``add_ext``, ``dist_e`` and ``pth_power``
+then stay exact (``add_ext`` also when two doubles sum past the range), and
+makes a factor below ~1e-308 zero (inf * 0.0 is nan), so ``add_ext``,
+``dist_e`` and ``scale`` keep inf out of that arithmetic.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ class TopBound:
         limit = self.limit
         return INF if limit is None or limit > FLOAT_MAX else float(limit)
 
+    @cached_property
+    def value(self) -> "Value":
+        """top as a Value, built once and shared by every lift that meets it."""
+        return Value(INF if self.limit is None else self.limit)
+
     @classmethod
     def finite(cls, q) -> "TopBound":
         return cls(Fraction(q))
@@ -83,7 +88,8 @@ class TopBound:
                 # cross-multiplied slots, as in Value.__lt__
                 over = m._numerator * limit._denominator > limit._numerator * m._denominator
             else:
-                over = m > (limit if isinstance(m, Fraction) else self.float_limit)
+                # a double meets top's double; the type test skips the ABC one
+                over = m > (self.float_limit if type(m) is float else limit)
             if over:
                 raise ConfigurationError(f"value {m} exceeds top {limit}")
         return v
@@ -147,10 +153,12 @@ class Value:
     def __post_init__(self):
         m = self.mag
         # a Fraction's sign is its numerator's; Fraction's own m < 0 first
-        # runs an ABC isinstance test on the int 0
+        # runs an ABC isinstance test on the int 0, and a double's type test
+        # skips the isinstance one.  nan, unequal to itself, would order
+        # below, above and equal to nothing
         if type(m) is Fraction:
             negative = m._numerator < 0
-        elif isinstance(m, (Fraction, float)):
+        elif (type(m) is float or isinstance(m, (Fraction, float))) and m == m:
             negative = m < 0
         else:
             raise ConfigurationError(f"bad magnitude {m!r}")
@@ -213,7 +221,7 @@ ZERO = Value(Fraction(0))
 
 
 def top(bound: TopBound) -> Value:
-    return Value(INF if bound.is_infinite else bound.limit)
+    return bound.value
 
 
 def exact(q) -> Value:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from behametric import coalgebra
 from behametric.coalgebra import (
     MetricTS,
     ProbTS,
@@ -180,6 +181,35 @@ class TestProbTs:
         p = ProbTS(("s",), {}, {"s": F(1)}, F(1, 2))
         sys_ = from_prob_ts(p)
         assert sys_.alpha["s"] == Distribution({Tagged("right", "✓"): F(1)})
+
+
+class TestStateSets:
+    """Each constructor builds its set of states once."""
+
+    def test_validate_sees_one_carrier_for_every_state(self, monkeypatch):
+        seen = []
+
+        def spy(expr, carrier, t, path="t"):
+            seen.append(carrier)
+            return validate(expr, carrier, t, path=path)
+
+        monkeypatch.setattr(coalgebra, "validate", spy)
+        states = tuple(f"s{k}" for k in range(5))
+        p = ProbTS(states, {s: {t: F(1, 5) for t in states} for s in states}, {}, F(1, 2))
+        from_prob_ts(p)
+        assert len(seen) == len(states)
+        assert all(c is seen[0] for c in seen)
+        assert seen[0] == frozenset(states) and type(seen[0]) is frozenset
+
+    def test_unknown_targets_named_in_state_order(self):
+        with pytest.raises(SchemaError) as err:
+            ProbTS(("x", "y"), {"x": {"x": F(1)}, "y": {"q": F(1)}}, {}, F(1, 2))
+        assert str(err.value) == "transitions[y]: unknown state 'q'"
+        table = PseudometricTable(["p"], {}, TOP_INF)
+        with pytest.raises(SchemaError) as err:
+            MetricTS(("s", "t"), [("r", table)], {"s": {"r": "p"}, "t": {"r": "p"}},
+                     {"s": frozenset({"t"}), "t": frozenset({"q"})})
+        assert str(err.value) == "tau[t]: unknown state 'q'"
 
 
 class TestMetricTs:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from behametric import lp
 from behametric.lp import TransportationInstance, solve_transportation
 from behametric.oracle import (
     LinearProgram,
@@ -327,6 +328,94 @@ class TestWarmStart:
                 exact = _plan_cost(inst.cost, plan)
                 assert value.mag == (exact if value.is_exact else float(exact))
         assert warm > 300
+
+
+def _reduced_costs(cost, rows):
+    """Each cell's reduced cost c_ij - u_i - v_j on the basis whose row i
+    holds the columns rows[i], with u_0 = 0, as a pair (forbidden part,
+    finite part) ordered lexicographically: a forbidden cell costs (1, 0),
+    any other (0, its exact rational).  The potentials are solved over
+    Fractions by sweeping the basic cells until each is known."""
+    m, n = len(cost), len(cost[0])
+    c = {
+        (i, j): (1, F(0)) if v.is_infinite else (0, v.as_fraction())
+        for i, row in enumerate(cost) for j, v in enumerate(row)
+    }
+
+    def minus(a, b):
+        return a[0] - b[0], a[1] - b[1]
+
+    basic = [(i, j) for i in range(m) for j in rows[i]]
+    u, v = {0: (0, F(0))}, {}
+    for _ in range(m + n):
+        for i, j in basic:
+            if i in u and j not in v:
+                v[j] = minus(c[i, j], u[i])
+            elif j in v and i not in u:
+                u[i] = minus(c[i, j], v[j])
+    assert len(u) == m and len(v) == n, "the basis is no spanning tree"
+    return {cell: minus(minus(c[cell], u[cell[0]]), v[cell[1]]) for cell in c}
+
+
+def _negative_cells(cost, rows):
+    """The cells of negative reduced cost, in row-major order."""
+    reduced = _reduced_costs(cost, rows)
+    return [cell for cell in sorted(reduced) if reduced[cell] < (0, 0)]
+
+
+def _spy_on_pivots(monkeypatch, inst_of):
+    """Check each pivot's entering cell against _negative_cells on the
+    instance inst_of() is solving; returns the list of entered cells."""
+    entered, pivot = [], lp._pivot_cycle
+
+    def spy(plan, rows, cols, i0, j0):
+        negative = _negative_cells(inst_of().cost, rows)
+        assert negative and negative[0] == (i0, j0), (negative, (i0, j0))
+        entered.append((i0, j0))
+        return pivot(plan, rows, cols, i0, j0)
+
+    monkeypatch.setattr(lp, "_pivot_cycle", spy)
+    return entered
+
+
+class TestBlandPricing:
+    """The entering cell is the first cell in row-major order whose reduced
+    cost is negative, and a solve stops only where no cell has one."""
+
+    @pytest.mark.parametrize("doubles", [False, True], ids=["exact", "double"])
+    def test_entering_cells_on_warm_sequences(self, monkeypatch, doubles):
+        # the seeded sequences of test_warm_solve_equals_cold_solve
+        rng = random.Random(37)
+        current = []
+        entered = _spy_on_pivots(monkeypatch, lambda: current[-1])
+        for _ in range(120):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            supply, demand = _random_mass(rng, m), _random_mass(rng, n)
+            inst = TransportationInstance(supply, demand, _random_cost(rng, m, n, doubles))
+            current.append(inst)
+            for k in range(5):
+                if k:
+                    inst.cost = _random_cost(rng, m, n, doubles)
+                solve_transportation(inst)
+                assert _negative_cells(inst.cost, inst.basis[1]) == []
+        assert len(entered) > 100
+
+    def test_consecutive_warm_solves_each_pivot(self, monkeypatch):
+        # the zero-cost permutation shifts every solve, so each solve moves
+        # the basis its last solve left: a walk kept past a pivot would
+        # price the new basis by the old tree
+        costs = [
+            _cost([[0 if j == (i + k) % 3 else 1 for j in range(3)] for i in range(3)])
+            for k in range(8)
+        ]
+        inst = TransportationInstance([F(1, 3)] * 3, [F(1, 3)] * 3, costs[0])
+        entered = _spy_on_pivots(monkeypatch, lambda: inst)
+        for cost in costs:
+            inst.cost, before = cost, len(entered)
+            value, plan = solve_transportation(inst)
+            assert len(entered) > before
+            assert value == Value(F(0)) and _plan_cost(cost, plan) == 0
+            _assert_feasible(inst, plan)
 
 
 def _wide_cost(rng, m, n):

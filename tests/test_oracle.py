@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -19,6 +20,7 @@ from behametric.oracle import (
     kantorovich_vertex_oracle,
     lp_vertices,
     solve_max,
+    _solve_tree,
     transportation_vertices,
     wasserstein_oracle,
 )
@@ -200,6 +202,28 @@ def _reference_plans(supply, demand):
     return plans
 
 
+def _combination_plans(supply, demand):
+    """transportation_vertices as a plain loop over every (m+n-1)-cell set
+    in itertools.combinations order, each peeled by _solve_tree."""
+    m, n = len(supply), len(demand)
+    unit = lcm(*(F(x).denominator for x in (*supply, *demand)))
+    masses = [int(F(x) * unit) for x in (*supply, *demand)]
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    plans, seen = [], set()
+    for subset in itertools.combinations(cells, m + n - 1):
+        flow = _solve_tree(masses, m, subset)
+        if flow is None:
+            continue
+        key = tuple((c, flow[c]) for c in subset if flow[c])
+        if key not in seen:
+            seen.add(key)
+            plan = dict(key)
+            plans.append(tuple(
+                tuple(F(plan.get((i, j), 0), unit) for j in range(n)) for i in range(m)
+            ))
+    return plans
+
+
 def _random_row(rng, n):
     kind = rng.random()
     if kind < 0.15:  # all-zero coefficients
@@ -244,6 +268,23 @@ class TestAgainstSquareSystems:
             assert len(found) == len(set(found))
             assert set(found) == _reference_plans(supply, demand), (supply, demand)
             assert all(type(x) is F for plan in found for row in plan for x in row)
+
+    def test_transportation_vertices_prune_only_cycles(self):
+        # the walk skips cell sets that hold a cycle; the plain loop over
+        # every (m+n-1)-cell set, peeled by _solve_tree, finds the same
+        # plans in the same order
+        rng = random.Random(8)
+
+        def masses(k):  # zero masses included
+            xs = [rng.choice([0, 0, 1, 2, 3]) for _ in range(k)]
+            xs[rng.randrange(k)] += 1
+            return [F(x, sum(xs)) for x in xs]
+
+        for m, n in itertools.product(range(1, 5), repeat=2):
+            for _ in range(4):
+                supply, demand = masses(m), masses(n)
+                found = [tuple(map(tuple, plan)) for plan in transportation_vertices(supply, demand)]
+                assert found == _combination_plans(supply, demand), (supply, demand)
 
     def test_degenerate_vertex_yielded_once(self):
         # six rows through (1, 1) of the unit square: x1 <= 1 twice, x2 <= 1

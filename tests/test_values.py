@@ -87,6 +87,12 @@ class TestValueInvariants:
         with pytest.raises(ConfigurationError, match="bad magnitude 1"):
             Value(1)
 
+    def test_nan_rejected(self):
+        # nan orders below, above and equal to nothing, so no bound judges it
+        for nan in (float("nan"), INF - INF):
+            with pytest.raises(ConfigurationError, match="bad magnitude nan"):
+                Value(nan)
+
     def test_top_check_verdicts(self):
         # a Fraction against a Fraction limit cross-multiplies, anything else
         # compares with the limit's double; both must judge as < does
@@ -260,6 +266,8 @@ class TestInfinityMeetsExtremeFractions:
 def test_top_of_bounds():
     assert top(TOP_ONE) == v1(1)
     assert top(TOP_INF).is_infinite
+    # one Value per bound, shared by every lift that meets top
+    assert top(TOP_ONE) is top(TOP_ONE) and top(TOP_INF) is TOP_INF.value
 
 
 class TestLongDecimals:
