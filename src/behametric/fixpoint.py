@@ -8,7 +8,9 @@ visited, since a full re-lift would give them a zero step and leave their
 entries as they are.  The sequence is monotone nondecreasing; iteration
 stops at an exact fixed point (exact mode), at residual < the mode's
 tolerance (float mode), or at the iteration cap, in which case the result
-is returned unconverged rather than raised.
+is returned unconverged rather than raised.  The lifting maps pseudometrics
+to pseudometrics, so the steps are not checked for the triangle inequality;
+the table returned and each table of the trace are.
 """
 
 from __future__ import annotations
@@ -121,6 +123,8 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
             break
         # only a pair that reads a moved entry can lift to a new value
         todo = _reading(pairs, reads, changes)
+    for table in trace or [current]:  # the trace ends with current
+        table._check_triangle()
     if not pairs:
         iterations = 1 if states else 0
         converged = True

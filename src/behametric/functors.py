@@ -144,14 +144,15 @@ class PseudometricTable:
     ``_index`` maps an atom to its carrier position.  Each entry above the
     diagonal is stored once, row by row, in ``_flat``: the distance of the
     atoms at positions i < j is ``_flat[_offset[i] + j]``, and the diagonal
-    is ZERO.  Every entry is checked against the table's
-    TopBound and the pseudometric axioms are validated on construction.
+    is ZERO.  Every entry is checked against the table's TopBound, and a
+    table built with ``check`` has the triangle inequality validated too.
     The triangle check compares integers, the magnitudes scaled by the LCM
     of their denominators, unless some are doubles (float-mode entries,
     irrational p-norm roots); flagged triples are re-judged as Values, so
     verdicts and messages are those of Value arithmetic: a triple fails when
     one side ``exceeds`` the sum of the other two.  ``updated`` builds the
-    next table of an iteration from the entries that moved.
+    next table of an iteration from the entries that moved, and leaves the
+    triangles to the caller: the iteration checks the tables it returns.
     """
 
     # a result keeps its last table, so a table holds no per-instance dict
@@ -200,14 +201,14 @@ class PseudometricTable:
 
     @staticmethod
     def _scaled(rows):
-        """The rows of Values in ``rows``, {position: row}, as magnitudes:
-        integers scaled by the LCM of the rows' finite denominators, or as
-        they are when some are doubles, but zero as the int 0.  A Fraction
-        past the double range has no double to meet the doubles with, so
-        then the doubles are scaled too, at their exact ratios.  INF counts
-        as an integer above any sum of two finite entries of the rows (not as
-        inf: int + inf raises once the scaled integers pass 2**1024)."""
-        finite = [v.mag for row in rows.values() for v in row if not v.is_infinite]
+        """The rows of Values in ``rows`` as magnitudes: integers scaled by
+        the LCM of the rows' finite denominators, or as they are when some
+        are doubles, but zero as the int 0.  A Fraction past the double
+        range has no double to meet the doubles with, so then the doubles
+        are scaled too, at their exact ratios.  INF counts as an integer
+        above any sum of two finite entries of the rows (not as inf: int +
+        inf raises once the scaled integers pass 2**1024)."""
+        finite = [v.mag for row in rows for v in row if not v.is_infinite]
         ints = all(type(m) is Fraction for m in finite)
         if not ints:  # no Fraction arithmetic with doubles
             finite = [m or 0 for m in finite]
@@ -216,13 +217,14 @@ class PseudometricTable:
             finite, _ = over_common_denominator(finite)
         big = 4 * max(finite, default=0) + 1
         scaled = iter(finite)
-        return {i: [big if v.is_infinite else next(scaled) for v in row] for i, row in rows.items()}
+        return [[big if v.is_infinite else next(scaled) for v in row] for row in rows]
 
     def _check_triangle(self):
-        """Only i < k is visited: (i, j, k) and (k, j, i) fail together, so
-        the first failure is the first among all permutations."""
+        """ShapeError at the first failing triangle.  Only i < k is visited:
+        (i, j, k) and (k, j, i) fail together, so the first failure is the
+        first among all permutations."""
         n = len(self.carrier)
-        rows = {i: self._row(i) for i in range(n)}
+        rows = [self._row(i) for i in range(n)]
         mags = self._scaled(rows)
         for i in range(n):
             ri = mags[i]
@@ -240,38 +242,17 @@ class PseudometricTable:
 
     def updated(self, changes) -> "PseudometricTable":
         """This table with the entries of ``changes``, {(a, b): value},
-        replaced; the Values of the others are shared.  Only the changed
-        entries are checked against the bound.  When fewer than half the
-        entries change, only the triangles that hold one are screened, with
-        the integers of the full check, and a flagged triangle hands the
-        verdict to the full check; so a table is accepted or refused, with
-        the same message, as a full build of its entries would be.  The
-        triangles screened are all the ones that can fail when this table
-        passed its own check."""
+        replaced; the Values of the others are shared.  The changed entries
+        are checked against the carrier, the diagonal and the bound, and the
+        triangle inequality is not checked."""
         new = copy.copy(self)
         flat = new._flat = self._flat[:]
-        edges = []
         for (a, b), v in changes.items():
             i, j, v = self._entry(a, b, v)
-            if i == j:
-                if not v.is_zero:
-                    raise ShapeError(f"nonzero diagonal at {a!r}")
-                continue
-            flat[self._offset[i] + j] = v
-            edges.append((i, j))
-        if 2 * len(edges) >= len(flat):
-            # the screen does about twice the full check's work per entry
-            new._check_triangle()
-            return new
-        mags = new._scaled({k: new._row(k) for k in {k for edge in edges for k in edge}})
-        for i, j in edges:
-            mi, mj = mags[i], mags[j]
-            dij = mi[j]
-            # rows i and j hold every side of each triangle on the edge (i, j)
-            for dik, djk in zip(mi, mj):
-                if dij > dik + djk or dik > dij + djk or djk > dij + dik:
-                    new._check_triangle()
-                    return new
+            if i != j:
+                flat[self._offset[i] + j] = v
+            elif not v.is_zero:
+                raise ShapeError(f"nonzero diagonal at {a!r}")
         return new
 
     def get(self, a, b) -> Value:

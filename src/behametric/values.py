@@ -261,9 +261,13 @@ def add_ext(a: Value, b: Value) -> Value:
 def scale(v: Value, c: Fraction) -> Value:
     """Multiply by a positive rational c, validated where it was built (an
     Id discount, a p-norm weight, an oracle's plan weight); c * inf = inf."""
-    if c == 1 or v.is_infinite:
+    m = v.mag
+    if type(m) is float:
+        # the double m * c is m * float(c), without Fraction's ABC isinstance tests
+        return v if m == INF else Value(m * float(c))
+    if c == 1:
         return v
-    return Value(v.mag * c)
+    return Value(m * c)
 
 
 def _int_nth_root(n: int, p: int) -> int | None:

@@ -142,9 +142,9 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_pseudometric_axioms_on_200_systems():
-    # every iteration matrix is validated against reflexivity/symmetry/
-    # triangle at construction time (exact mode, no slack); re-check the
-    # final tables explicitly
+    # behavioral_distances checks the triangle inequality of each trace
+    # table (exact mode, no slack); re-check every iterate here, with
+    # symmetry and the zero diagonal
     rng = random.Random(44)
     checked = 0
     for _ in range(120):

@@ -584,7 +584,7 @@ class TestPastTheDoubleRange:
         assert code == 0 and err == ""
         assert out.splitlines()[1].split(",")[2] == "1.838477631084937e+154"
 
-    def test_triangle_screen_of_a_double_beside_a_fraction_past_the_range(self, capsys):
+    def test_returned_table_check_of_a_double_beside_1e400(self, capsys):
         # the p-norm root 1.5811388300841895 shares a table with 1e400
         doc = str(FIXTURES / "overflow_triangle_screen.json")
         code, out, err = run(capsys, "dist", doc, "--exact")
@@ -592,6 +592,17 @@ class TestPastTheDoubleRange:
         d, big = "1.5811388300841895", "1" + "0" * 400
         assert out == (f"state,a,b,c,e\na,0,{d},inf,inf\nb,{d},0,inf,inf\n"
                        f"c,inf,inf,0,{big}\ne,inf,inf,{big},0\n")
+
+    def test_trace_table_checks_of_a_double_beside_1e400(self, capsys):
+        # each trace table is checked: two hold the root beside 1e400
+        doc = str(FIXTURES / "overflow_triangle_screen.json")
+        code, out, err = run(capsys, "trace", doc, "--exact")
+        assert code == 0 and err == ""
+        d, big = "1.5811388300841895", "1" + "0" * 400
+        rows = out.splitlines()
+        assert len(rows) == 1 + 3 * 6
+        assert rows[-6:] == ([f"2,a,b,{d}"] + [f"2,{p},inf" for p in ["a,c", "a,e", "b,c", "b,e"]]
+                             + [f"2,c,e,{big}"])
 
     @pytest.mark.parametrize("mode, zero", [(["--exact"], "0"), (["--float", "1e-9"], "0.0")])
     def test_pnorm_under_a_top_past_the_double_range(self, capsys, mode, zero):

@@ -454,8 +454,9 @@ class TestIncrementalIteration:
 
 
 class TestUpdatedTable:
-    """PseudometricTable.updated judges a table as a full build of the same
-    entries does."""
+    """PseudometricTable.updated builds each iterate without checking its
+    triangles; behavioral_distances judges the table it returns, and each
+    table of its trace, as a full build of the same entries does."""
 
     def base(self):
         pos = {"a": F(0), "b": F(1), "c": F(2), "d": F(3)}
@@ -464,12 +465,28 @@ class TestUpdatedTable:
             TOP_INF,
         )
 
-    def full_build(self, table, changes):
+    def full_build(self, table, changes, check=True):
         entries = {(a, b): v for a, b, v in table.entries()}
         for (a, b), v in changes.items():
             entries.pop((b, a), None)
             entries[(a, b)] = v
-        return PseudometricTable(table.carrier, entries, table.bound)
+        return PseudometricTable(table.carrier, entries, table.bound, check)
+
+    def scripted(self, monkeypatch, tables, trace):
+        """behavioral_distances on four states that each read all four, so
+        every pair is lifted at every step, step k lifting each pair to its
+        entry in tables[k] and later steps to the last table's."""
+        from behametric import fixpoint
+
+        lifts = list(tables)
+
+        def lift_pairs(sys_, table, method, pairs, store=None):
+            target = lifts.pop(0) if len(lifts) > 1 else lifts[0]
+            return [target.get(a, b) for a, b in pairs]
+
+        monkeypatch.setattr(fixpoint, "_lift_pairs", lift_pairs)
+        sys_ = System("abcd", FinPow(Id()), {s: frozenset("abcd") for s in "abcd"}, TOP_INF)
+        return behavioral_distances(sys_, IterationOptions(trace=trace))
 
     @pytest.mark.parametrize("changes", [
         {("a", "d"): Value(F(7))},
@@ -481,13 +498,23 @@ class TestUpdatedTable:
         {(x, y): Value(F(7 if x + y == "ad" else 1)) for x, y in combinations("abcd", 2)},
     ], ids=["long-side", "two-edges", "infinite", "short-sides", "reversed-key", "short-last",
             "every-edge"])
-    def test_violation_raises_the_full_build_message(self, changes):
+    def test_violation_raises_the_full_build_message(self, monkeypatch, changes):
         table = self.base()
         with pytest.raises(ShapeError) as full:
             self.full_build(table, changes)
-        with pytest.raises(ShapeError) as fast:
-            table.updated(changes)
-        assert str(fast.value) == str(full.value)
+        bad = self.full_build(table, changes, check=False)
+        # the returned table: the iteration reaches bad and stays
+        with pytest.raises(ShapeError) as returned:
+            self.scripted(monkeypatch, [bad], trace=False)
+        assert str(returned.value) == str(full.value)
+        # an intermediate iterate: bad, then every entry raised to bad's largest
+        largest = max(v for _, _, v in bad.entries())
+        roof = PseudometricTable(bad.carrier, {(a, b): largest for a, b, _ in bad.entries()},
+                                 TOP_INF)
+        assert self.scripted(monkeypatch, [bad, roof], trace=False).table == roof
+        with pytest.raises(ShapeError) as traced:
+            self.scripted(monkeypatch, [bad, roof], trace=True)
+        assert str(traced.value) == str(full.value)
 
     def test_accepted_change_matches_the_full_build(self):
         table = self.base()

@@ -322,8 +322,8 @@ class TestTriangleCheckAgainstOracle:
         # the diagonal's exact zero meets the doubles as the int 0
         entries = {("a", "b"): Value(0.25), ("a", "c"): Value(0.25), ("b", "c"): Value(0.0)}
         table = PseudometricTable(["a", "b", "c"], entries, TOP_ONE)
-        rows = PseudometricTable._scaled({i: table._row(i) for i in range(3)})
-        assert not any(type(m) is F for row in rows.values() for m in row)
+        rows = PseudometricTable._scaled([table._row(i) for i in range(3)])
+        assert not any(type(m) is F for row in rows for m in row)
         assert [rows[i][i] for i in range(3)] == [0, 0, 0]
 
     def test_fraction_past_the_double_range_beside_doubles(self):
@@ -331,8 +331,8 @@ class TestTriangleCheckAgainstOracle:
         huge = Value(F(10) ** 400)
         entries = {("a", "b"): Value(0.5), ("a", "c"): huge, ("b", "c"): huge}
         table = PseudometricTable(["a", "b", "c"], entries, TOP_INF)
-        rows = PseudometricTable._scaled({i: table._row(i) for i in range(3)})
-        assert all(type(m) is int for row in rows.values() for m in row)
+        rows = PseudometricTable._scaled([table._row(i) for i in range(3)])
+        assert all(type(m) is int for row in rows for m in row)
         assert rows[0][1] * 2 * 10**400 == rows[0][2]
         with pytest.raises(ShapeError, match="triangle inequality fails"):
             PseudometricTable(

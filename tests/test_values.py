@@ -242,6 +242,21 @@ def test_scale_infinity():
     assert scale(Value(INF), F(1, 2)).is_infinite
 
 
+def test_scale_of_a_double_is_the_product_with_a_fraction():
+    # 205 discounts by 2,006 doubles from the least subnormal to 1e308
+    rng = random.Random(0)
+    discounts = [F(1), F(1, 10**400), F(1, 2), F(9, 10), F(1, 3)] + [
+        F(rng.randint(1, d), d) for d in (rng.randint(1, 10**rng.randint(1, 30)) for _ in range(200))
+    ]
+    doubles = [5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, 1e308] + [
+        rng.random() * 10.0 ** rng.randint(-323, 307) for _ in range(2000)
+    ]
+    for c in discounts:
+        for m in doubles:
+            got = scale(Value(m), c).mag
+            assert type(got) is float and got == m * c  # Fraction.__rmul__
+
+
 def test_inf_is_the_float_infinity():
     assert INF == float("inf") and vi(10**400) < vi("inf")
     assert format_magnitude(INF) == "inf" and vi("inf").is_exact
