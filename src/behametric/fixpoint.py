@@ -266,11 +266,13 @@ def format_value(v: Value, mode: NumericMode) -> str:
 
 
 def matrix_to_csv(m: DistanceMatrix) -> str:
+    text = {(a, a): format_value(ZERO, m.mode) for a in m.states}
+    for a, b, v in m.table.entries():  # each stored entry formatted once
+        text[a, b] = text[b, a] = format_value(v, m.mode)
     out = io.StringIO()
     out.write("state," + ",".join(m.states) + "\n")
     for a in m.states:
-        row = [format_value(m.table.get(a, b), m.mode) for b in m.states]
-        out.write(a + "," + ",".join(row) + "\n")
+        out.write(a + "," + ",".join([text[a, b] for b in m.states]) + "\n")
     return out.getvalue()
 
 

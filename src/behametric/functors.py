@@ -59,6 +59,7 @@ class Distribution:
     weights summing exactly to 1.  Hashable; support kept in canonical order."""
 
     __slots__ = ("_items", "_map", "_hash")
+    _NO_MASS = Fraction(0)  # shared by every miss of prob: Fractions are immutable
 
     def __init__(self, items):
         pairs = []
@@ -83,7 +84,7 @@ class Distribution:
         return [x for x, _ in self._items]
 
     def prob(self, x) -> Fraction:
-        return self._map.get(x, Fraction(0))
+        return self._map.get(x, self._NO_MASS)
 
     def __eq__(self, other):
         return isinstance(other, Distribution) and self._items == other._items

@@ -51,8 +51,8 @@ class TransportationInstance:
     scaled: tuple = field(init=False, repr=False, compare=False)  # (supply, demand)
 
     def __post_init__(self):
-        self.supply = [Fraction(s) for s in self.supply]
-        self.demand = [Fraction(d) for d in self.demand]
+        self.supply = [s if type(s) is Fraction else Fraction(s) for s in self.supply]
+        self.demand = [d if type(d) is Fraction else Fraction(d) for d in self.demand]
         if any(s < 0 for s in self.supply) or any(d < 0 for d in self.demand):
             raise ValueError("negative mass")
         if sum(self.supply) != sum(self.demand):

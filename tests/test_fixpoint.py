@@ -16,10 +16,12 @@ from behametric.coalgebra import (
     load_system,
 )
 from behametric.fixpoint import (
+    DistanceMatrix,
     IterationOptions,
     UnconvergedError,
     behavioral_distances,
     bisimilarity_partition,
+    format_value,
     kernel_partition,
     matrix_to_csv,
     matrix_to_json,
@@ -669,3 +671,38 @@ class TestRendering:
         lines = trace_to_csv(m).splitlines()
         assert lines[0] == "iteration,state1,state2,distance"
         assert len(lines) > 6
+
+    @staticmethod
+    def _csv_per_cell(m):
+        """The CSV with every cell formatted on its own, both triangles."""
+        lines = ["state," + ",".join(m.states)]
+        for a in m.states:
+            row = [format_value(m.table.get(a, b), m.mode) for b in m.states]
+            lines.append(a + "," + ",".join(row))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("kind", ["exact", "float", "inf"])
+    def test_csv_matches_per_cell_formatting(self, kind):
+        # each stored entry is formatted once and mirrored: the text must be
+        # that of formatting each cell, for states in any order
+        rng = random.Random(23)
+        mode = EXACT if kind != "float" else NumericMode.approx(1e-9)
+        bound = TOP_ONE if kind == "exact" else TOP_INF
+        for n in (1, 2, 5, 9):
+            carrier = [f"s{i}" for i in range(n)]
+            entries = {}
+            for a, b in combinations(carrier, 2):
+                if kind == "float":
+                    mag = rng.choice([rng.random() * 10 ** rng.randint(-300, 300), INF, 0.0])
+                elif kind == "inf":
+                    mag = rng.choice([INF, F(rng.randint(0, 40), rng.randint(1, 7)), rng.random()])
+                else:
+                    den = rng.randint(1, 60)
+                    mag = F(rng.randint(0, den), den)
+                entries[a, b] = Value(mag)
+            if kind == "inf" and n > 2:  # a numerator and denominator past 4,300 digits
+                entries["s0", "s1"] = Value(F(10 ** 4400 + 1, 3 * 10 ** 4399))
+            table = PseudometricTable(carrier, entries, bound, check=False)
+            states = tuple(rng.sample(carrier, n))
+            m = DistanceMatrix(states, table, 1, True, ZERO, WASSERSTEIN, mode)
+            assert matrix_to_csv(m) == self._csv_per_cell(m), (kind, n)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from behametric import lifting
 from behametric.functors import (
     Coproduct,
     Const,
@@ -24,7 +25,9 @@ from behametric.lifting import (
     LiftingEngine,
     check_well_behaved,
     duality_gap,
+    lift_both,
     lift_dist,
+    method_matters,
 )
 from behametric.suites import random_pseudometric, random_structure, node_catalogue
 from behametric.values import INF, TOP_INF, TOP_ONE, ZERO, Value, add_ext, top
@@ -199,6 +202,108 @@ class TestInexactCosts:
                     for a, b in itertools.combinations(points, 2)
                 )
             assert mixed >= 2, bound
+
+
+def _has_diag_square(expr):
+    """A DiagSquare anywhere in expr, found by walking the node types."""
+    if isinstance(expr, DiagSquare):
+        return True
+    if isinstance(expr, (Dist, FinPow)):
+        return _has_diag_square(expr.sub)
+    if isinstance(expr, (Product, Coproduct)):
+        return _has_diag_square(expr.left) or _has_diag_square(expr.right)
+    return False
+
+
+def _random_expr(rng, bound, depth, diag):
+    """A seeded expression over Id leaves, DiagSquare allowed if diag."""
+    if depth == 0 or rng.random() < 0.2:
+        return Id(F(rng.randint(1, 4), 4))
+    nodes = ["dist", "finpow", "product", "coproduct"] + ["diagsquare"] * diag
+    kind = rng.choice(nodes)
+    sub = lambda: _random_expr(rng, bound, depth - 1, diag)
+    if kind == "dist":
+        return Dist(sub())
+    if kind == "finpow":
+        return FinPow(sub())
+    if kind == "diagsquare":
+        return DiagSquare(sub())
+    if kind == "coproduct":
+        return Coproduct(sub(), sub())
+    c2 = F(1, 2) if bound == TOP_ONE else F(3, 4)
+    evaluation = rng.choice([MaxEval(), PNormEval(1, F(1, 2), c2)])
+    return Product(sub(), sub(), evaluation)
+
+
+class TestMethodMatters:
+    """The suites lift once where method_matters is False: there the two
+    methods must be one computation."""
+
+    def test_catalogue_nodes(self):
+        rng = random.Random(31)
+        for bound in (TOP_ONE, TOP_INF):
+            for name, expr in node_catalogue(bound, rng):
+                assert method_matters(expr) == (name == "diagsquare"), (bound, name)
+
+    @pytest.mark.parametrize("wrap", [
+        Dist,
+        FinPow,
+        lambda e: Coproduct(Id(), e),
+        lambda e: Coproduct(e, Id()),
+        lambda e: Product(Id(), e),
+        lambda e: Product(e, Id(), PNormEval(1, F(1, 2), F(3, 4))),
+    ], ids=["dist", "finpow", "coproduct-right", "coproduct-left", "product-right", "product-left"])
+    def test_diag_square_under_each_node(self, wrap):
+        inner = DiagSquare(Id(F(1, 2)))
+        for expr in (wrap(inner), wrap(wrap(inner)), wrap(Dist(inner)), wrap(FinPow(Id()))):
+            assert method_matters(expr) == _has_diag_square(expr), expr
+        assert method_matters(wrap(inner)) and not method_matters(wrap(Id()))
+
+    def test_seeded_nested_expressions(self):
+        rng = random.Random(32)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            expr = _random_expr(rng, TOP_INF, 4, diag=True)
+            assert method_matters(expr) == _has_diag_square(expr), expr
+            seen[method_matters(expr)] += 1
+        assert min(seen.values()) > 50, seen
+
+    @pytest.mark.parametrize("bound", [TOP_ONE, TOP_INF], ids=["top-1", "top-inf"])
+    def test_methods_agree_where_the_method_does_not_matter(self, bound):
+        rng = random.Random(33)
+        kinds = set()
+        for _ in range(60):
+            expr = _random_expr(rng, bound, 2, diag=bound.is_infinite)
+            if method_matters(expr):
+                continue
+            kinds |= {type(e) for e in expr.subexprs()}
+            for _ in range(4):
+                d = random_pseudometric(rng, bound)
+                ts = [random_structure(rng, expr, d.carrier) for _ in range(3)]
+                k = LiftingEngine(expr, d, KANTOROVICH)
+                w = LiftingEngine(expr, d, WASSERSTEIN)
+                for t1, t2 in itertools.combinations(ts, 2):
+                    vk, vw = k.dist(t1, t2), w.dist(t1, t2)
+                    assert vk == vw and vk.is_exact == vw.is_exact, (expr, t1, t2)
+        assert {Dist, FinPow, Product, Coproduct} <= kinds
+
+    def test_lift_both_lifts_once_where_the_method_does_not_matter(self, monkeypatch):
+        engines = []
+
+        class Counted(LiftingEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self.method)
+
+        monkeypatch.setattr(lifting, "LiftingEngine", Counted)
+        d = table(["x1", "x2"], {("x1", "x2"): 1}, TOP_INF)
+        k, w, gap = lift_both(FinPow(Id()), d, frozenset({"x1"}), frozenset({"x2"}))
+        assert (k, w, gap) == (Value(F(1)), Value(F(1)), ZERO)
+        assert engines == [KANTOROVICH]
+        engines.clear()
+        k, w, gap = lift_both(DiagSquare(Id()), d, ("x1", "x2"), ("x2", "x1"))
+        assert (k, w, gap) == (ZERO, Value(F(2)), Value(F(2)))
+        assert engines == [KANTOROVICH, WASSERSTEIN]
 
 
 class TestLiftingProperties:

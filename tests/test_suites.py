@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,10 @@ from behametric.suites import (
     run_suite,
 )
 from behametric import lifting
-from behametric.values import INF, TOP_INF, TOP_ONE, TopBound, Value
+from behametric.functors import Const, Coproduct, DiagSquare, Dist, FinPow, struct_key
+from behametric.values import INF, TOP_INF, TOP_ONE, TopBound, Value, add_ext
+
+FIXTURES = Path(__file__).resolve().parent / "data"
 
 
 def fraction_closure(rng, bound, n_atoms=None):
@@ -103,3 +108,53 @@ class TestSuites:
     def test_summary_format(self):
         r = run_suite("duality", seed=2, n=3)
         assert "duality" in r.summary() and "pass" in r.summary()
+
+
+class TestSuiteOutputsPinned:
+    """The suites lift once where the method does not matter; every count,
+    verdict and failure list is the one of lifting both methods."""
+
+    @pytest.mark.parametrize("name, seed, n, checked", [
+        ("axioms", 0, 50, 1500), ("axioms", 5, 3, 90),
+        ("duality", 0, 50, 700), ("duality", 5, 3, 42),
+        ("k-le-w", 0, 50, 750), ("k-le-w", 5, 3, 45),
+        ("oracle", 0, 50, 250), ("oracle", 5, 3, 15),
+        ("well-behaved", 0, 50, 4), ("well-behaved", 5, 3, 4),
+    ])
+    def test_passed_and_checked(self, name, seed, n, checked):
+        result = run_suite(name, seed=seed, n=n)
+        assert (result.passed, result.checked) == (True, checked)
+
+    def test_axioms_failures_under_a_skewed_lift(self, monkeypatch):
+        # a lift that breaks symmetry at Dist, FinPow and DiagSquare,
+        # reflexivity at Coproduct and the triangle at Const, alike for
+        # both methods; the list was recorded while every instance was
+        # lifted once per method
+        dist = lifting.LiftingEngine.dist
+        key = lambda t: repr(struct_key(t))
+
+        def skewed(self, t1, t2):
+            v = dist(self, t1, t2)
+            kind = type(self.expr)
+            if kind in (Dist, FinPow, DiagSquare) and key(t1) < key(t2):
+                return add_ext(v, Value(F(1, 64)))
+            if kind is Coproduct and t1 == t2:
+                return Value(F(1, 64))
+            if kind is Const:
+                return Value(F({t1, t2} == {"p", "r"}))
+            return v
+
+        monkeypatch.setattr(lifting.LiftingEngine, "dist", skewed)
+        result = run_suite("axioms", seed=3, n=1)
+        got = []
+        for name, method, check, *ts in result.failures:
+            ts = ts[0] if check == "triangle" else ts
+            got.append([name, method, check] + [key(t) for t in ts])
+        with open(FIXTURES / "axioms_skewed_failures.json", encoding="utf-8") as fh:
+            assert got == json.load(fh)
+        assert (result.passed, result.checked) == (False, 30)
+        methods = {}
+        for name, method, *_ in result.failures:
+            methods.setdefault(name, set()).add(method)
+        assert set(methods) == {"dist", "finpow", "diagsquare", "coproduct", "const"}
+        assert all(m == set(lifting.METHODS) for m in methods.values())
