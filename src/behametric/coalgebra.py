@@ -182,6 +182,8 @@ class ProbTS:
 
     def __post_init__(self):
         self.states = tuple(self.states)
+        _known_sources(self.transitions, self.states, "transitions")
+        _known_sources(self.terminate, self.states, "terminate")
         self.transitions = {
             s: {tgt: w for tgt, w in trans.items() if w != 0}
             for s, trans in self.transitions.items()
@@ -223,6 +225,8 @@ class MetricTS:
 
     def __post_init__(self):
         self.states = tuple(self.states)
+        _known_sources(self.valuation, self.states, "valuation")
+        _known_sources(self.tau, self.states, "tau")
         if not self.propositions:
             raise SchemaError("propositions", "at least one proposition required")
         for name, table in self.propositions:

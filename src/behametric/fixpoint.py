@@ -113,8 +113,8 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
                                          "compute it in exact mode (--exact)") from None
             # a double equal to a Fraction still moves: lifts read its type
             if v is not prev and (type(v.mag) is not type(prev.mag) or v.mag != prev.mag):
-                changes[(a, b)] = v
-        current = current.updated(changes)
+                changes[k] = v
+        current = current.updated(changes)  # pairs is the table's entry order
         if opts.trace:
             trace.append(current)
         # exact: no entry changed; float: the largest step is below tol
@@ -122,7 +122,7 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
         if converged:
             break
         # only a pair that reads a moved entry can lift to a new value
-        todo = _reading(pairs, reads, changes)
+        todo = _reading(pairs, reads, [pairs[k] for k in changes])
     for table in trace or [current]:  # the trace ends with current
         table._check_triangle()
     if not pairs:
@@ -145,11 +145,11 @@ def _reads(sys: System) -> dict:
     return reads
 
 
-def _reading(pairs, reads, changes) -> list:
-    """The positions in pairs of the pairs whose lift reads an entry of
-    changes: (a, b) reads (x, y) for x in reads[a] and y in reads[b]."""
+def _reading(pairs, reads, moved_pairs) -> list:
+    """The positions in pairs of the pairs whose lift reads the entry of a
+    moved pair: (a, b) reads (x, y) for x in reads[a] and y in reads[b]."""
     moved = defaultdict(set)  # atom -> the atoms whose entry with it moved
-    for x, y in changes:
+    for x, y in moved_pairs:
         moved[x].add(y)
         moved[y].add(x)
     # near[b]: each x whose entry with some y in reads[b] moved

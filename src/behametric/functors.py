@@ -16,7 +16,6 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .values import (
-    FLOAT_MAX,
     ZERO,
     ConfigurationError,
     TopBound,
@@ -145,15 +144,16 @@ class PseudometricTable:
     ``_index`` maps an atom to its carrier position.  Each entry above the
     diagonal is stored once, row by row, in ``_flat``: the distance of the
     atoms at positions i < j is ``_flat[_offset[i] + j]``, and the diagonal
-    is ZERO.  Every entry is checked against the table's TopBound, and a
-    table built with ``check`` has the triangle inequality validated too.
-    The triangle check compares integers, the magnitudes scaled by the LCM
-    of their denominators, unless some are doubles (float-mode entries,
-    irrational p-norm roots); flagged triples are re-judged as Values, so
-    verdicts and messages are those of Value arithmetic: a triple fails when
-    one side ``exceeds`` the sum of the other two.  ``updated`` builds the
-    next table of an iteration from the entries that moved, and leaves the
-    triangles to the caller: the iteration checks the tables it returns.
+    is ZERO.  Each entry given to the constructor is checked against the
+    table's TopBound, and a table built with ``check`` has the triangle
+    inequality validated too.  The triangle check compares integers, the
+    magnitudes scaled by the LCM of their denominators, doubles (float-mode
+    entries, irrational p-norm roots) at their exact ratios; flagged triples
+    are re-judged as Values, so verdicts and messages are those of Value
+    arithmetic: a triple fails when one side ``exceeds`` the sum of the
+    other two.  ``updated`` writes the entries an iteration step moved and
+    checks nothing: the engine holds each lift to the bound, and the
+    iteration checks the tables it returns.
     """
 
     # a result keeps its last table, so a table holds no per-instance dict
@@ -170,8 +170,11 @@ class PseudometricTable:
         self._offset = _offsets(n)
         flat, diag = [None] * (n * (n - 1) // 2), [None] * n
         for (a, b), v in entries.items():
-            i, j, v = self._entry(a, b, v)
-            cells, k = (diag, i) if i == j else (flat, self._offset[i] + j)
+            i, j = self._index.get(a), self._index.get(b)
+            if i is None or j is None:
+                raise ShapeError(f"unknown atom in entry ({a!r}, {b!r})")
+            v = bound.check(v if isinstance(v, Value) else exact(v))
+            cells, k = (diag, i) if i == j else (flat, self._offset[min(i, j)] + max(i, j))
             if cells[k] is not None and cells[k] != v:
                 key = (a, b) if a <= b else (b, a)
                 raise ShapeError(f"conflicting entries for {key}")
@@ -183,15 +186,6 @@ class PseudometricTable:
         if check:
             self._check_triangle()
 
-    def _entry(self, a, b, v):
-        """(i, j, v): the positions of a and b, lower first, and v checked
-        against the bound."""
-        i, j = self._index.get(a), self._index.get(b)
-        if i is None or j is None:
-            raise ShapeError(f"unknown atom in entry ({a!r}, {b!r})")
-        v = self.bound.check(v if isinstance(v, Value) else exact(v))
-        return (i, j, v) if i <= j else (j, i, v)
-
     def _row(self, i) -> list:
         """The distances from the atom at position i to every atom, in
         carrier order."""
@@ -202,20 +196,13 @@ class PseudometricTable:
 
     @staticmethod
     def _scaled(rows):
-        """The rows of Values in ``rows`` as magnitudes: integers scaled by
-        the LCM of the rows' finite denominators, or as they are when some
-        are doubles, but zero as the int 0.  A Fraction past the double
-        range has no double to meet the doubles with, so then the doubles
-        are scaled too, at their exact ratios.  INF counts as an integer
-        above any sum of two finite entries of the rows (not as inf: int +
-        inf raises once the scaled integers pass 2**1024)."""
-        finite = [v.mag for row in rows for v in row if not v.is_infinite]
-        ints = all(type(m) is Fraction for m in finite)
-        if not ints:  # no Fraction arithmetic with doubles
-            finite = [m or 0 for m in finite]
-            ints = any(type(m) is Fraction and m > FLOAT_MAX for m in finite)
-        if ints:
-            finite, _ = over_common_denominator(finite)
+        """The rows of Values in ``rows`` as integers: the finite magnitudes
+        scaled by the LCM of their denominators, doubles at their exact
+        ratios.  INF counts as an integer above any sum of two finite
+        entries of the rows (not as inf: int + inf raises once the scaled
+        integers pass 2**1024)."""
+        finite, _ = over_common_denominator(
+            [v.mag for row in rows for v in row if not v.is_infinite])
         big = 4 * max(finite, default=0) + 1
         scaled = iter(finite)
         return [[big if v.is_infinite else next(scaled) for v in row] for row in rows]
@@ -242,18 +229,14 @@ class PseudometricTable:
                             )
 
     def updated(self, changes) -> "PseudometricTable":
-        """This table with the entries of ``changes``, {(a, b): value},
-        replaced; the Values of the others are shared.  The changed entries
-        are checked against the carrier, the diagonal and the bound, and the
-        triangle inequality is not checked."""
+        """This table with the entries of ``changes``, {k: Value}, set, k
+        counted in ``entries()`` order; the Values of the others are shared.
+        Nothing is checked: a position names no unknown atom and no
+        diagonal, and the caller's Values are held to the bound."""
         new = copy.copy(self)
         flat = new._flat = self._flat[:]
-        for (a, b), v in changes.items():
-            i, j, v = self._entry(a, b, v)
-            if i != j:
-                flat[self._offset[i] + j] = v
-            elif not v.is_zero:
-                raise ShapeError(f"nonzero diagonal at {a!r}")
+        for k, v in changes.items():
+            flat[k] = v
         return new
 
     def get(self, a, b) -> Value:

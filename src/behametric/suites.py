@@ -5,10 +5,11 @@ The suites back both the test suite and the CLI `check` command: duality
 (lifted distances are pseudometrics), well-behaved (max passes, min fails
 with the known witnesses), and oracle (engine vs brute force).  Both methods
 share one code path wherever lifting.method_matters is False, every
-catalogue node but diagsquare, so axioms, k-le-w and duality lift each
-instance there once and count its verdict for both methods.  Until a
-definitional Kantorovich referee covers each node, k-le-w and duality hold
-there by construction (duality's dist keeps its simplex referee).
+catalogue node but diagsquare, so axioms and k-le-w lift each instance
+there once and count its verdict for both methods, and duality checks only
+those nodes.  Until a definitional Kantorovich referee covers each node,
+k-le-w and duality hold there by construction (duality's dist keeps its
+simplex referee).
 """
 
 from __future__ import annotations
@@ -143,17 +144,6 @@ def node_catalogue(bound: TopBound, rng: random.Random):
     return nodes
 
 
-DUALITY_NODES = (
-    "id",
-    "const",
-    "dist",
-    "finpow",
-    "product-max",
-    "product-pnorm",
-    "coproduct",
-)
-
-
 # ---------------------------------------------------------------------------
 # suite results
 
@@ -212,20 +202,17 @@ def _dist_kantorovich_lp(d, p1, p2) -> LinearProgram:
 
 
 def suite_duality(seed=0, n=50) -> SuiteResult:
-    """K = W on the duality-preserving nodes.  Both methods share one
-    transport at Dist, so there K is also checked against the simplex
-    solution of the Kantorovich LP."""
+    """K = W on the nodes where the method does not matter: one lift, held
+    to top by the engine, is both.  At Dist, K is also checked against the
+    simplex solution of the Kantorovich LP."""
     checked = 0
     failures = []
     for name, expr, matters, d, (t1, t2) in _instances(seed, n):
-        if name not in DUALITY_NODES:
+        if matters:
             continue
         k = lift_dist(expr, d, KANTOROVICH, t1, t2)
-        w = lift_dist(expr, d, WASSERSTEIN, t1, t2) if matters else k
         checked += 1
-        if k != w:
-            failures.append((name, t1, t2, k, w))
-        elif name == "dist":
+        if name == "dist":
             best, _ = solve_max(_dist_kantorovich_lp(d, t1, t2))
             if k != Value(best):
                 failures.append((name, t1, t2, k, best))

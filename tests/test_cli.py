@@ -275,6 +275,19 @@ class TestCheck:
         assert out1 == out2
 
 
+@pytest.mark.parametrize("golden, args", [
+    ("fig1_left_float.csv", ("dist", "fig1_left.json", "--eps", "1/20")),
+    ("fig1_right_float.csv", ("dist", "fig1_right.json")),
+    ("fig1_left_trace_float.csv", ("trace", "fig1_left.json", "--eps", "1/20")),
+])
+def test_float_mode_output_pinned(capsys, golden, args):
+    # recorded before the triangle check screened doubles as integers
+    command, system, *rest = args
+    code, out, err = run(capsys, command, str(DATA / system), *rest, "--float", "1e-9")
+    assert (code, err) == (0, "")
+    assert out == (FIXTURES / golden).read_text()
+
+
 class TestTrace:
     def test_strict_unconverged_exit_code(self, capsys):
         code, out, _ = run(

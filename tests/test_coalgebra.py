@@ -158,6 +158,20 @@ class TestProbTs:
             ProbTS(("s", "t"), transitions, terminate, F(1, 2))
         assert err.value.path == path
 
+    @pytest.mark.parametrize(
+        "transitions, terminate, path, name",
+        [
+            ({"a": {"b": F(1)}, "zz": {"a": F(1)}}, {"b": F(1), "qq": F(1)}, "transitions", "zz"),
+            ({"a": {"b": F(1)}}, {"b": F(1), "qq": F(1)}, "terminate", "qq"),
+        ],
+    )
+    def test_entry_of_unknown_state_rejected(self, transitions, terminate, path, name):
+        # the loader's check, made by the library constructor too
+        with pytest.raises(SchemaError) as err:
+            ProbTS(("a", "b"), transitions, terminate, F(1, 2))
+        assert err.value.path == f"{path}[{name}]"
+        assert str(err.value) == f"{path}[{name}]: unknown state {name!r}"
+
     def test_compiles_to_expected_transition_structures(self):
         p = ProbTS(
             states=("x", "y", "u", "z"),
@@ -219,6 +233,16 @@ class TestMetricTs:
         )
         with pytest.raises(SchemaError):
             MetricTS(("s",), [("r", table)], {"s": {"r": "nope"}}, {"s": frozenset()})
+
+    @pytest.mark.parametrize("field", ["valuation", "tau"])
+    def test_entry_of_unknown_state_rejected(self, field):
+        table = PseudometricTable(["p"], {}, TOP_INF)
+        fields = {"valuation": {"s": {"r": "p"}}, "tau": {"s": frozenset()}}
+        fields[field]["ghost"] = fields[field]["s"]
+        with pytest.raises(SchemaError) as err:
+            MetricTS(("s",), [("r", table)], fields["valuation"], fields["tau"])
+        assert err.value.path == f"{field}[ghost]"
+        assert str(err.value) == f"{field}[ghost]: unknown state 'ghost'"
 
     def test_finite_top_table_rejected(self):
         # JSON propositions are always read under top = inf

@@ -518,29 +518,43 @@ class TestUpdatedTable:
             self.scripted(monkeypatch, [bad, roof], trace=True)
         assert str(traced.value) == str(full.value)
 
+    def by_pair(self, table, changes):
+        """Positional changes keyed by the pairs at those positions."""
+        pairs = list(combinations(table.carrier, 2))
+        return {pairs[k]: v for k, v in changes.items()}
+
     def test_accepted_change_matches_the_full_build(self):
         table = self.base()
-        changes = {("a", "d"): Value(F(5, 2)), ("b", "c"): Value(F(3, 2))}
+        changes = {2: Value(F(5, 2)), 3: Value(F(3, 2))}  # (a, d) and (b, c)
         new = table.updated(changes)
-        assert list(new.entries()) == list(self.full_build(table, changes).entries())
+        full = self.full_build(table, self.by_pair(table, changes))
+        assert list(new.entries()) == list(full.entries())
+        assert new.get("a", "d") == Value(F(5, 2)) and new.get("c", "b") == Value(F(3, 2))
         assert table.get("a", "d") == Value(F(3))  # the old table is untouched
 
     def test_rounding_gap_accepted_as_by_the_full_build(self):
         table = PseudometricTable("abc", {("a", "b"): Value(0.1), ("b", "c"): Value(0.2),
                                           ("a", "c"): Value(0.3)}, TOP_ONE)
-        changes = {("a", "c"): Value(0.30000000000000004)}
+        changes = {1: Value(0.30000000000000004)}  # (a, c)
         assert list(table.updated(changes).entries()) == list(
-            self.full_build(table, changes).entries()
+            self.full_build(table, self.by_pair(table, changes)).entries()
         )
 
-    def test_entries_checked_against_the_bound(self):
-        table = self.base()
-        with pytest.raises(ConfigurationError):
-            PseudometricTable("ab", {}, TOP_ONE).updated({("a", "b"): Value(F(2))})
-        with pytest.raises(ShapeError, match="unknown atom"):
-            table.updated({("a", "z"): Value(F(1))})
-        with pytest.raises(ShapeError, match="nonzero diagonal"):
-            table.updated({("a", "a"): Value(F(1))})
+    def test_lift_past_top_raised_where_the_engine_returns_it(self, monkeypatch):
+        # updated checks nothing, so the bound is held where a lift is returned
+        sys_ = from_prob_ts(fig1_left())
+        lift = LiftingEngine._lift
+        past = (sys_.alpha["x"], sys_.alpha["y"])
+
+        def skewed(engine, expr, t1, t2):
+            if expr is engine.expr and (t1, t2) == past:
+                return Value(F(3, 2))
+            return lift(engine, expr, t1, t2)
+
+        monkeypatch.setattr(LiftingEngine, "_lift", skewed)
+        with pytest.raises(ConfigurationError, match="exceeds top") as raised:
+            behavioral_distances(sys_)
+        assert ("lifting.py", "dist") in [(e.path.name, e.name) for e in raised.traceback]
 
 
 def _with_entry(m, a, b, v):

@@ -234,6 +234,33 @@ class TestTriangleCheckAgainstOracle:
                 assert any(s[:2] == (accepted, inexact) for s in seen)
         assert any(s[2] for s in seen) and any(not s[3] for s in seen)
 
+    def test_exact_tables_with_every_fifth_entry_a_double(self):
+        # exact tables as exact-mode p-norm roots make them, most entries
+        # Fractions and some doubles, on up to ten atoms; a few entries are
+        # moved off the line metric, by a clear step or by less than
+        # rounding explains next to a double
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(200):
+            bound = rng.choice(TOPS)
+            top = bound.limit if bound.limit is not None else F(4)
+            carrier = [f"s{i}" for i in rng.sample(range(10), rng.randint(6, 10))]
+            points = {a: top * rng.randint(0, 21) / 21 for a in carrier}
+            mags = [abs(points[a] - points[b]) for a, b in itertools.combinations(carrier, 2)]
+            for k in rng.sample(range(len(mags)), rng.randint(0, 2)):
+                step = top / rng.choice([7, 10**14]) * rng.choice([-1, 1])
+                mags[k] = min(top, max(F(0), mags[k] + step))
+            entries = {pair: Value(float(m) if k % 5 == 0 else m)
+                       for k, (pair, m) in enumerate(zip(itertools.combinations(carrier, 2), mags))}
+            oracle, new = triangle_verdicts(carrier, entries, bound)
+            assert new == oracle, (carrier, entries, bound)
+            as_fractions = {key: Value(F(v.mag)) for key, v in entries.items()}
+            strict, _ = triangle_verdicts(carrier, as_fractions, TOP_INF)
+            seen.add((new is None, strict is None))
+        # rejected, and accepted though the doubles' exact ratios break a
+        # triangle by less than rounding_slack
+        assert seen >= {(False, False), (True, False)}
+
     def test_large_float_mode_entries_beside_inf(self):
         # float-mode tables under top = inf: doubles of 1e5 to 1e9, where two
         # ulps exceed the 1e-12 floor, in clusters that are at distance inf
@@ -319,12 +346,26 @@ class TestTriangleCheckAgainstOracle:
             )
 
     def test_float_table_screens_without_fractions(self):
-        # the diagonal's exact zero meets the doubles as the int 0
-        entries = {("a", "b"): Value(0.25), ("a", "c"): Value(0.25), ("b", "c"): Value(0.0)}
-        table = PseudometricTable(["a", "b", "c"], entries, TOP_ONE)
-        rows = PseudometricTable._scaled([table._row(i) for i in range(3)])
-        assert not any(type(m) is F for row in rows for m in row)
-        assert [rows[i][i] for i in range(3)] == [0, 0, 0]
+        # one screen on integers: doubles at their exact ratios, the
+        # diagonal's exact zero as the int 0, INF as an int above any sum
+        keys = [("a", "b"), ("a", "c"), ("b", "c")]
+        for mags in [
+            (0.25, 0.25, 0.0),  # doubles
+            (F(1, 3), 0.1, F(2, 7)),  # Fractions and doubles
+            (0.5, INF, INF),  # doubles and INF
+            (F(1, 3), 0.1, INF),
+        ]:
+            table = PseudometricTable(["a", "b", "c"], dict(zip(keys, map(Value, mags))),
+                                      TOP_INF, check=False)
+            rows = PseudometricTable._scaled([table._row(i) for i in range(3)])
+            assert all(type(m) is int for row in rows for m in row), mags
+            assert [rows[i][i] for i in range(3)] == [0, 0, 0]
+            scaled = list(zip(mags, [rows[0][1], rows[0][2], rows[1][2]]))
+            for (m1, x1), (m2, x2) in itertools.combinations(scaled, 2):
+                if INF not in (m1, m2):
+                    assert F(m1) * x2 == F(m2) * x1, mags  # the exact ratios are kept
+            big = 2 * max(x for m, x in scaled if m is not INF)
+            assert all(x > big for m, x in scaled if m is INF), mags
 
     def test_fraction_past_the_double_range_beside_doubles(self):
         # no double meets 1e400, so every magnitude is scaled exactly
