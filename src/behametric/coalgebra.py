@@ -520,13 +520,14 @@ def load_system(
 
 
 def _atom_list(value, path) -> list:
-    """A JSON list of strings (state names, atoms), else a SchemaError."""
+    """A JSON list of strings (state names, atoms), else a SchemaError.  The
+    names are interned, so every load of a document shares their strings."""
     if not isinstance(value, list):
         raise SchemaError(path, f"expected a list of names, got {value!r}")
     for k, x in enumerate(value):
         if not isinstance(x, str):
             raise SchemaError(f"{path}[{k}]", f"expected a name, got {x!r}")
-    return value
+    return [sys.intern(str(x)) for x in value]  # str(): intern takes no subclass
 
 
 def _object_field(doc: dict, key, path=None) -> dict:

@@ -6,11 +6,12 @@ transition structures.  After the first step a pair is lifted again only
 when an entry its lift reads moved in the step before; the others are not
 visited, since a full re-lift would give them a zero step and leave their
 entries as they are.  The sequence is monotone nondecreasing; iteration
-stops at an exact fixed point (exact mode), at residual < the mode's
-tolerance (float mode), or at the iteration cap, in which case the result
-is returned unconverged rather than raised.  The lifting maps pseudometrics
-to pseudometrics, so the steps are not checked for the triangle inequality;
-the table returned and each table of the trace are.
+stops at an exact fixed point (exact mode, whose steps only detect whether
+a magnitude moved and measure the residual at the cap alone), at residual
+< the mode's tolerance (float mode), or at the iteration cap, in which case
+the result is returned unconverged rather than raised.  The lifting maps
+pseudometrics to pseudometrics, so the steps are not checked for the
+triangle inequality; the table returned and each table of the trace are.
 """
 
 from __future__ import annotations
@@ -85,8 +86,11 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
     todo = range(len(pairs))  # positions of the pairs to lift: at first all
     for iterations in range(1, opts.max_iter + 1):
         fresh = _lift_pairs(sys, current, opts.method, [pairs[k] for k in todo], store)
+        flat = current._flat  # pairs is the table's entry order
         changes = {}
         residual = ZERO
+        measure = not mode.is_exact or iterations == opts.max_iter  # where a residual is reported
+        moved = False
         # Only the pairs lifted again are visited.  Any other pair would lift
         # to its last lift v, and its entry is v or the clamp of v (exact
         # mode), or the double nearest v or the clamp of v (float mode, where
@@ -94,31 +98,35 @@ def behavioral_distances(sys: System, opts: IterationOptions | None = None) -> D
         # mixed arithmetic rounds a Fraction to a double first, and its
         # entry would stay.
         for k, v in zip(todo, fresh):
-            a, b = pairs[k]
-            prev = current.get(a, b)
-            step = dist_e(v, prev)
+            prev = flat[k]
             if v < prev:
                 # a step down that rounding explains is clamped; any other is a bug
                 if exceeds(prev, v):
-                    raise AssertionError(
-                        f"iteration not monotone at ({a},{b}): {prev} -> {v}"
-                    )
-                v, step = prev, ZERO
-            if step > residual:
-                residual = step
+                    a, b = pairs[k]
+                    raise AssertionError(f"iteration not monotone at ({a},{b}): {prev} -> {v}")
+                continue
+            if measure:
+                step = dist_e(v, prev)
+                if step > residual:
+                    residual = step
             try:
                 v = v if mode.is_exact else _round_value(v)
             except OverflowError:
+                a, b = pairs[k]
                 raise ConfigurationError(f"distance of ({a},{b}) exceeds the float range; "
                                          "compute it in exact mode (--exact)") from None
-            # a double equal to a Fraction still moves: lifts read its type
-            if v is not prev and (type(v.mag) is not type(prev.mag) or v.mag != prev.mag):
+            if prev < v:
                 changes[k] = v
-        current = current.updated(changes)  # pairs is the table's entry order
+                # a zero step, as the residual counts it, is no move: dist_e
+                # takes a Fraction and a double a sub-ulp apart as 0.0
+                moved = moved or not dist_e(v, prev).is_zero
+            elif type(v.mag) is not type(prev.mag):
+                changes[k] = v  # a double equal to a Fraction: no move, but lifts read its type
+        current = current.updated(changes)
         if opts.trace:
             trace.append(current)
-        # exact: no entry changed; float: the largest step is below tol
-        converged = residual.is_zero if mode.is_exact else residual.as_float() < tol
+        # exact: no magnitude moved; float: the largest step is below tol
+        converged = not moved if mode.is_exact else residual.as_float() < tol
         if converged:
             break
         # only a pair that reads a moved entry can lift to a new value

@@ -63,7 +63,7 @@ class Distribution:
     def __init__(self, items):
         pairs = []
         for x, p in dict(items).items():
-            p = Fraction(p)
+            p = p if type(p) is Fraction else Fraction(p)
             if p <= 0:
                 raise ShapeError(f"nonpositive weight {p} for {x!r}")
             pairs.append((x, p))

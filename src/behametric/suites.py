@@ -14,6 +14,7 @@ simplex referee).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -66,6 +67,13 @@ ATOMS = ("a", "b", "c", "d", "e")
 # generators
 
 
+@functools.cache
+def _multiples(unit: Fraction) -> dict:
+    """k -> the Value of k units, None -> INF, for every k the closure can
+    sum on five atoms (8 * 4); built once per unit, shared and never written."""
+    return {None: Value(INF), **{k: Value(unit * k) for k in range(8 * (len(ATOMS) - 1) + 1)}}
+
+
 def random_pseudometric(rng: random.Random, bound: TopBound, n_atoms=None) -> PseudometricTable:
     """Random table made triangle-valid by shortest-path closure."""
     n = n_atoms if n_atoms is not None else rng.randint(2, 5)
@@ -83,7 +91,7 @@ def random_pseudometric(rng: random.Random, bound: TopBound, n_atoms=None) -> Ps
             left, right, old = raw[i][mid], raw[mid][j], raw[i][j]
             if None not in (left, right) and (old is None or left + right < old):
                 raw[i][j] = raw[j][i] = left + right
-    values = {k: Value(INF if k is None else unit * k) for k in {raw[i][j] for i, j in pairs}}
+    values = _multiples(unit)
     entries = {(atoms[i], atoms[j]): values[raw[i][j]] for i, j in pairs}
     return PseudometricTable(atoms, entries, bound, check=False)
 

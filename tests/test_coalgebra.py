@@ -284,6 +284,22 @@ class TestLoadSystem:
         assert len(sys_.states) == 4
         assert sys_.alpha["x"].prob(Tagged("left", "u")) == F(9, 20)
 
+    def test_loads_share_the_state_names(self):
+        # names are interned, so a kept result holds no copy of its state
+        # names (one-character strings are shared anyway: these have more)
+        text = json.dumps({"kind": "prob_ts", "c": "1/2", "states": ["start", "stop"],
+                           "transitions": {"start": {"stop": "1"}}, "terminate": {"stop": "1"}})
+        first, second = (load_system(text).states for _ in range(2))
+        assert first == ("start", "stop")
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_names_of_a_str_subclass_load(self):
+        class Name(str):
+            pass
+
+        doc = dict(FIG1_LEFT, states=[Name(s) for s in FIG1_LEFT["states"]])
+        assert load_system(doc, eps=F(1, 20)).states == ("x", "y", "u", "z")
+
     def test_c_override(self):
         sys_ = load_system(FIG1_LEFT, eps=F(1, 20), c=F(1, 2))
         # the discount lives in the expression's identity leaf

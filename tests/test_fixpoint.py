@@ -455,6 +455,53 @@ class TestIncrementalIteration:
         assert lifts[0] < pairs * m.iterations
 
 
+class TestResidualAtEveryCap:
+    """An exact step only detects whether a magnitude moved; the residual is
+    measured at the cap.  Every cap up to convergence reports the iterations,
+    verdict and typed residual of a plain Jacobi run with that cap."""
+
+    def assert_every_cap(self, sys_, last):
+        for cap in range(1, last + 1):
+            opts = IterationOptions(max_iter=cap)
+            m = behavioral_distances(sys_, opts)
+            _, iterations, converged, residual = jacobi_reference(sys_, opts)
+            assert (m.iterations, m.converged, _typed(m.residual)) == (
+                iterations, converged, _typed(residual)), cap
+
+    def test_prob_ts(self):
+        # exact ProbTS never converges: every cap ends unconverged
+        for seed in range(4):
+            sys_ = from_prob_ts(random_prob_ts(random.Random(seed), 4, F(9, 10)), EXACT)
+            self.assert_every_cap(sys_, 12)
+
+    def test_metric_ts(self):
+        for seed in range(8):
+            sys_ = from_metric_ts(random_metric_ts(random.Random(seed), 8))
+            self.assert_every_cap(sys_, behavioral_distances(sys_).iterations)
+
+    # (seed, top): 306 and 601 converge at step 2, where a double equal to its
+    # Fraction changes an entry but moves nothing; in 34, 203 and 949 an
+    # entry moves from a Fraction to a double by less than an ulp of it
+    @pytest.mark.parametrize("seed, top", [
+        (306, 2), (601, 2), (34, 2), (203, None), (949, 2), (66, None),
+    ] + [(seed, None) for seed in range(300, 312)])
+    def test_pnorm_systems(self, seed, top):
+        sys_ = pnorm_system(seed, EXACT, top and TopBound.finite(top))
+        m = behavioral_distances(sys_, IterationOptions(max_iter=60))
+        assert m.converged
+        self.assert_every_cap(sys_, m.iterations)
+
+    @pytest.mark.parametrize("seed", [306, 601])
+    def test_a_type_change_is_no_move(self, seed):
+        sys_ = pnorm_system(seed, EXACT, TopBound.finite(2))
+        m = behavioral_distances(sys_, IterationOptions(trace=True))
+        before, after = m.trace[-2:]
+        retyped = [(u, v) for (_, _, u), (_, _, v) in zip(before.entries(), after.entries())
+                   if _typed(u) != _typed(v)]
+        assert (m.iterations, m.converged, m.residual) == (2, True, ZERO)
+        assert retyped and all(u.mag == v.mag for u, v in retyped)
+
+
 class TestUpdatedTable:
     """PseudometricTable.updated builds each iterate without checking its
     triangles; behavioral_distances judges the table it returns, and each

@@ -47,6 +47,12 @@ class TestDistribution:
         with pytest.raises(ShapeError):
             Distribution({"x": F(3, 2), "y": F(-1, 2)})
 
+    def test_fraction_weights_are_kept(self):
+        half, third = F(1, 2), F(1, 3)
+        p = Distribution({"x": half, "y": third, "z": 1 - half - third})
+        assert p.prob("x") is half and p.prob("y") is third
+        assert Distribution({"x": 0.5, "y": "1/2"}).items == (("x", half), ("y", half))
+
     def test_canonical_order_and_equality(self):
         p = Distribution({"y": F(1, 2), "x": F(1, 2)})
         q = Distribution({"x": F(1, 2), "y": F(1, 2)})
