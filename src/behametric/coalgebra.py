@@ -497,6 +497,8 @@ def load_system(
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")
     kind = doc.get("kind", "system")
+    if c is not None and kind in ("system", "metric_ts"):
+        raise SchemaError("--c", "only a prob_ts document has a discount")
     if kind == "prob_ts":
         return from_prob_ts(_parse_prob_ts(doc, eps=eps, c=c), mode)
     if kind == "metric_ts":

@@ -16,6 +16,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .values import (
+    INF,
     ZERO,
     ConfigurationError,
     TopBound,
@@ -24,9 +25,7 @@ from .values import (
     exact,
     exceeds,
     over_common_denominator,
-    pth_power,
     pth_root,
-    scale,
 )
 
 
@@ -434,17 +433,21 @@ def walk_atoms(expr: FunctorExpr, t, visit, path="t") -> None:
         raise ShapeError(f"unknown expression node {expr!r}", path)
 
 
-def combine_product(ev, v1: Value, v2: Value, bound: TopBound) -> Value:
+def combine_product(ev, v1: Value, v2: Value) -> Value:
     if isinstance(ev, MaxEval):
         return max(v1, v2)
     if isinstance(ev, PNormEval):
-        # the p-th powers are not distances and may pass top; the root is at
-        # most top, since c1 + c2 <= 1 under a finite top, but an irrational
-        # root is a double that rounding may lift past top's double
-        x1, x2 = scale(pth_power(v1, ev.p), ev.c1), scale(pth_power(v2, ev.p), ev.c2)
-        root = pth_root(add_ext(x1, x2), ev.p)
-        if type(root.mag) is float and root.mag > bound.float_limit:
-            return Value(bound.float_limit)
+        # one root of the exact power sum, doubles at their exact ratios; under a
+        # finite top c1 + c2 <= 1, so the root's nearest double is at most top's
+        if v1.is_infinite or v2.is_infinite:
+            return Value(INF)
+        p = ev.p
+        root = pth_root(Value(ev.c1 * v1.as_fraction() ** p + ev.c2 * v2.as_fraction() ** p), p)
+        if type(root.mag) is Fraction and not (v1.is_exact and v2.is_exact):
+            try:  # a double in gives a double out, where one exists
+                return Value(float(root.mag))
+            except OverflowError:
+                pass
         return root
     raise ShapeError(f"unknown product evaluation {ev!r}")
 

@@ -110,7 +110,7 @@ class LiftingEngine:
         if isinstance(expr, Product):
             v1 = self._lift(expr.left, t1[0], t2[0])
             v2 = self._lift(expr.right, t1[1], t2[1])
-            return combine_product(expr.eval, v1, v2, self.bound)
+            return combine_product(expr.eval, v1, v2)
         if isinstance(expr, FinPow):
             return self._hausdorff(expr.sub, t1, t2)
         if isinstance(expr, Dist):

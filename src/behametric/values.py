@@ -14,10 +14,11 @@ scale; the one undefined case, inf - inf, is handled in ``dist_e``.
 
 Each numeric rule is stated here once: ``exceeds`` judges rounding,
 ``TopBound.float_limit`` is top's double and ``TopBound.value`` its Value,
-and ``over_common_denominator`` writes magnitudes as ints over one
+``pth_root`` takes a root exactly or to the nearest double, and
+``over_common_denominator`` writes magnitudes as ints over one
 denominator.  A Fraction meeting a double is converted to a double first,
-which overflows past ~1.8e308, so ``add_ext``, ``dist_e`` and ``pth_power``
-then stay exact (``add_ext`` also when two doubles sum past the range), and
+which overflows past ~1.8e308, so ``add_ext`` and ``dist_e`` then stay
+exact (``add_ext`` also when two doubles sum past the range), and
 makes a factor below ~1e-308 zero (inf * 0.0 is nan), so ``add_ext``,
 ``dist_e`` and ``scale`` keep inf out of that arithmetic.
 """
@@ -270,51 +271,45 @@ def scale(v: Value, c: Fraction) -> Value:
     return Value(m * c)
 
 
-def _int_nth_root(n: int, p: int) -> int | None:
-    """Exact p-th root of a nonnegative integer, or None.  Integer Newton
-    iteration from above, so n may have any size."""
+def _floor_root(n: int, p: int) -> int:
+    """floor(n ** (1/p)) of an int n >= 0 of any size, by integer Newton from above."""
     if n < 2:
         return n
     x = 1 << -(-n.bit_length() // p)  # 2 ** ceil(bits / p) exceeds the root
     while True:
         y = ((p - 1) * x + n // x ** (p - 1)) // p
         if y >= x:
-            break
+            return x
         x = y
-    return x if x**p == n else None
 
 
 def pth_root(v: Value, p: int) -> Value:
-    """p-th root; exact when the magnitude is a perfect p-th power of a
-    rational, otherwise a float magnitude marked inexact."""
+    """p-th root: exact when the magnitude is a Fraction whose numerator and
+    denominator are perfect p-th powers, otherwise the double nearest the
+    root, so a double in gives a double out."""
     if p < 1:
         raise ConfigurationError("root order must be >= 1")
-    if p == 1:
+    m = v.mag
+    if p == 1 or v.is_infinite:
         return v
-    if isinstance(v.mag, float):
-        return Value(v.mag ** (1.0 / p))
-    num = _int_nth_root(v.mag.numerator, p)
-    den = _int_nth_root(v.mag.denominator, p)
-    if num is not None and den is not None:
-        return Value(Fraction(num, den))
-    # logs of the ints: float(v.mag) overflows once either passes ~1e308
-    log_mag = math.log(v.mag.numerator) - math.log(v.mag.denominator)
+    n, d = m.as_integer_ratio()
+    if type(m) is Fraction:
+        rn = _floor_root(n, p)
+        if rn**p == n and (rd := _floor_root(d, p)) ** p == d:
+            return Value(Fraction(rn, rd))
+    # the floor root r of n/d * 2**(p*s) has at least 55 bits, so the double
+    # nearest the root is that of r/2**s, or of (r + 1/2)/2**s when r is not
+    # the root: ties of doubles so near fall on ints; int division rounds right
+    s = 54 - (n.bit_length() - d.bit_length() - 1) // p
+    a, b = (n << p * s, d) if s >= 0 else (n, d << -p * s)
+    r = _floor_root(a // b, p)
+    twice = 2 * r + (r**p * b != a)
     try:
-        return Value(math.exp(log_mag / p))
+        return Value(twice / (1 << s + 1) if s >= 0 else float(twice << -s - 1))
     except OverflowError:
         raise ConfigurationError(
-            f"irrational {p}-th root of a {v.mag.numerator.bit_length()}-bit "
-            "magnitude exceeds the float range"
+            f"irrational {p}-th root of a {n.bit_length()}-bit magnitude exceeds the float range"
         ) from None
-
-
-def pth_power(v: Value, p: int) -> Value:
-    try:
-        return Value(v.mag**p)
-    except OverflowError:
-        # a double whose power passes the float range: power its exact
-        # rational, and pth_root takes the root exactly or through logs
-        return Value(Fraction(v.mag) ** p)
 
 
 def rounding_slack(x: float) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -165,6 +166,13 @@ class TestDist:
         rows = dict(line.split(",", 1) for line in out.splitlines())
         assert rows["u"].split(",")[1] == rows["x"].split(",")[3] == "1e+200"
 
+    @pytest.mark.parametrize("doc", ["fig1_right.json", "pnorm_top2.json"])
+    def test_discount_refused_without_a_prob_ts(self, capsys, doc):
+        # a metric_ts or system document has no discount for --c to override
+        code, out, err = run(capsys, "dist", str(DATA / doc), "--exact", "--c", "1/3")
+        assert code == 1 and out == ""
+        assert err == "error: --c: only a prob_ts document has a discount\n"
+
     def test_determinism_byte_identical(self, capsys):
         args = ("dist", str(DATA / "fig1_left.json"), "--eps", "1/20")
         _, out1, _ = run(capsys, *args)
@@ -275,16 +283,34 @@ class TestCheck:
         assert out1 == out2
 
 
+# stderr of the pinned runs that end unconverged at their cap
+PINNED_WARNINGS = {
+    "fig1_left_exact_cap1.json": "warning: no fixed point within 1 iterations (residual 1)\n",
+    "fig1_left_exact_cap2.json": "warning: no fixed point within 2 iterations (residual 99/200)\n",
+}
+
+
 @pytest.mark.parametrize("golden, args", [
-    ("fig1_left_float.csv", ("dist", "fig1_left.json", "--eps", "1/20")),
-    ("fig1_right_float.csv", ("dist", "fig1_right.json")),
-    ("fig1_left_trace_float.csv", ("trace", "fig1_left.json", "--eps", "1/20")),
+    ("fig1_left_float.csv", ("dist", DATA / "fig1_left.json", "--eps", "1/20", "--float", "1e-9")),
+    ("fig1_right_float.csv", ("dist", DATA / "fig1_right.json", "--float", "1e-9")),
+    ("fig1_left_trace_float.csv",
+     ("trace", DATA / "fig1_left.json", "--eps", "1/20", "--float", "1e-9")),
+    # an exact step only detects movement, and the residual is measured at
+    # the cap: recorded when every step measured its residual
+    *((f"fig1_left_exact_cap{cap}.json", ("dist", DATA / "fig1_left.json", "--eps", "1/20",
+                                          "--exact", "--json", "--max-iter", str(cap)))
+      for cap in (1, 2, 3)),
+    # verdicts and counts recorded when each instance was lifted once per method
+    *((f"check_all_seed{seed}.txt", ("check", "all", "--seed", str(seed))) for seed in (0, 3)),
+    ("pnorm_top2_exact.csv", ("dist", DATA / "pnorm_top2.json", "--exact")),
+    ("pnorm_top2_float.csv", ("dist", DATA / "pnorm_top2.json", "--float", "1e-9")),
+    ("pnorm_top_past_double_exact.csv", ("dist", FIXTURES / "pnorm_top_past_double.json", "--exact")),
 ])
 def test_float_mode_output_pinned(capsys, golden, args):
-    # recorded before the triangle check screened doubles as integers
-    command, system, *rest = args
-    code, out, err = run(capsys, command, str(DATA / system), *rest, "--float", "1e-9")
-    assert (code, err) == (0, "")
+    # the float goldens were recorded before the triangle check screened
+    # doubles as integers; CI diffs the same runs
+    code, out, err = run(capsys, *map(str, args))
+    assert (code, err) == (0, PINNED_WARNINGS.get(golden, ""))
     assert out == (FIXTURES / golden).read_text()
 
 
@@ -591,18 +617,21 @@ class TestPastTheDoubleRange:
 
     @pytest.mark.parametrize("mode", [["--exact"], ["--float", "1e-9"]], ids=["exact", "float"])
     def test_pnorm_of_doubles_whose_squares_sum_past_the_range(self, capsys, mode):
-        # top = inf: the squares of 1.3e154 sum to 3.38e308, their root does not
+        # top = inf: the squares of 1.3e154 sum to 3.38e308, their root does
+        # not; exact mode reads the entry 13e153 as an int, float mode as the
+        # double 1.3e154, which is an int too
         doc = str(FIXTURES / "pnorm_squares_past_double.json")
         code, out, err = run(capsys, "dist", doc, *mode)
         assert code == 0 and err == ""
-        assert out.splitlines()[1].split(",")[2] == "1.838477631084937e+154"
+        side = 13 * 10**153 if mode == ["--exact"] else int(1.3e154)
+        assert out.splitlines()[1].split(",")[2] == repr(float(math.isqrt(2 * side**2)))
 
     def test_returned_table_check_of_a_double_beside_1e400(self, capsys):
-        # the p-norm root 1.5811388300841895 shares a table with 1e400
+        # the p-norm root of (1 + 4) / 2 shares a table with 1e400
         doc = str(FIXTURES / "overflow_triangle_screen.json")
         code, out, err = run(capsys, "dist", doc, "--exact")
         assert code == 0 and err == ""
-        d, big = "1.5811388300841895", "1" + "0" * 400
+        d, big = repr(math.sqrt(2.5)), "1" + "0" * 400
         assert out == (f"state,a,b,c,e\na,0,{d},inf,inf\nb,{d},0,inf,inf\n"
                        f"c,inf,inf,0,{big}\ne,inf,inf,{big},0\n")
 
@@ -611,7 +640,7 @@ class TestPastTheDoubleRange:
         doc = str(FIXTURES / "overflow_triangle_screen.json")
         code, out, err = run(capsys, "trace", doc, "--exact")
         assert code == 0 and err == ""
-        d, big = "1.5811388300841895", "1" + "0" * 400
+        d, big = repr(math.sqrt(2.5)), "1" + "0" * 400
         rows = out.splitlines()
         assert len(rows) == 1 + 3 * 6
         assert rows[-6:] == ([f"2,a,b,{d}"] + [f"2,{p},inf" for p in ["a,c", "a,e", "b,c", "b,e"]]
@@ -622,5 +651,5 @@ class TestPastTheDoubleRange:
         # top = 1e400 has no double; the root of (1 + 4) / 2 is one
         code, out, err = run(capsys, "dist", str(FIXTURES / "pnorm_top_past_double.json"), *mode)
         assert code == 0 and err == ""
-        d = "1.5811388300841895"
+        d = repr(math.sqrt(2.5))
         assert out == f"state,x,y\nx,{zero},{d}\ny,{d},{zero}\n"

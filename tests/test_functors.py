@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -34,6 +35,7 @@ from behametric.values import (
     add_ext,
     rounding_slack,
 )
+from test_values import nearest_root
 
 UNIT = PseudometricTable(["✓"], {}, TOP_ONE, check=False)
 
@@ -431,10 +433,34 @@ class TestExprInvariants:
 
 class TestCombineProduct:
     def test_pnorm_power_past_the_float_range_beside_a_double(self):
-        # the square of 1e200 is a Fraction, the square of 0.5 a double
+        # the square of 1e200 passes the double range, the square of 0.5
+        # does not; both enter the sum at their exact ratios
         ev = PNormEval(2, F(1, 2), F(1, 2))
-        v = combine_product(ev, Value(1e200), Value(0.5), TOP_INF)
-        assert v.as_float() == pytest.approx(1e200 / math.sqrt(2), rel=1e-12)
+        v = combine_product(ev, Value(1e200), Value(0.5))
+        assert v.mag == nearest_root((F(1e200) ** 2 + F(1, 4)) / 2, 2)
+
+    def test_a_double_in_gives_a_double_out(self):
+        # the root of 1/2 * (0.5**2 + 0.5**2) is 1/2 exactly, returned as a double
+        v = combine_product(PNormEval(2, F(1, 2), F(1, 2)), Value(0.5), Value(F(1, 2)))
+        assert type(v.mag) is float and v.mag == 0.5
+        v = combine_product(PNormEval(1, F(1, 3), F(2, 3)), Value(0.5), Value(F(1, 4)))
+        assert v.mag == float(F(0.5) / 3 + F(1, 6))
+
+    def test_pnorm_with_weights_summing_to_one_stays_under_top(self):
+        # the exact p-norm is at most the larger side and rounding is
+        # monotone, so the root's double never passes top's double: this is
+        # why combine_product needs no clamp to top
+        rng = random.Random(3)
+        for limit in (F(1), F(2), F(1, 3), F(10, 7), F(2, 10**6 + 3), F(sys.float_info.max)):
+            bound = TopBound.finite(limit)
+            fl = bound.float_limit
+            sides = [limit, limit - F(1, 10**30), fl, math.nextafter(fl, 0)]
+            for p in (2, 3):
+                for a, b in itertools.product(sides, repeat=2):
+                    c1 = F(rng.randint(1, 999), 1000)
+                    v = combine_product(PNormEval(p, c1, 1 - c1), Value(a), Value(b))
+                    assert bound.check(v) is v
+                    assert not (type(v.mag) is float and v.mag > fl), (limit, a, b, p)
 
 
 class TestCouplingsFinPow:

@@ -23,7 +23,6 @@ from behametric.values import (
     exceeds,
     format_magnitude,
     over_common_denominator,
-    pth_power,
     pth_root,
     rounding_slack,
     scale,
@@ -176,6 +175,24 @@ def test_nonexpansiveness_of_distance_to_a_point(a, b):
     assert lhs <= dist_e(v1(a), v1(b))
 
 
+def nearest_root(q: F, p: int) -> float:
+    """Reference for pth_root: the double nearest q ** (1/p), as float() of
+    x / 2**k, where x is the floor root of q * 2**(p*k) with about 120 bits,
+    from math.isqrt (p = 2) or bisection.  Truncating to x misleads float()
+    only when x / 2**k is a tie between two doubles, about 2**-66 per case."""
+    k = 120 - (q.numerator.bit_length() - q.denominator.bit_length()) // p
+    n = math.floor(q * F(2) ** (p * k))
+    if p == 2:
+        x = math.isqrt(n)
+    else:
+        lo, hi = 0, 1 << (n.bit_length() // p + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid**p <= n else (lo, mid)
+        x = lo
+    return float(F(x) / F(2) ** k)
+
+
 class TestRoots:
     def test_perfect_power_is_exact(self):
         v = pth_root(Value(F(1, 4)), 2)
@@ -184,40 +201,58 @@ class TestRoots:
     def test_irrational_marked_inexact(self):
         v = pth_root(Value(F(1, 2)), 2)
         assert not v.is_exact
-        assert abs(v.as_float() - 0.5**0.5) < 1e-12
+        assert v.as_float() == math.sqrt(0.5)
 
     def test_power_inverts_root(self):
-        v = pth_power(pth_root(Value(F(8, 27)), 3), 3)
-        assert v == Value(F(8, 27))
+        v = pth_root(Value(F(8, 27)), 3)
+        assert v.is_exact and v.mag**3 == F(8, 27)
 
     def test_huge_perfect_power_is_exact(self):
         v = pth_root(Value(F(10**400, 9)), 2)
         assert v.is_exact and v == Value(F(10**200, 3))
 
     def test_huge_irrational_root_does_not_overflow(self):
-        # numerator and denominator beyond the float range must not pass
-        # through float(): the inexact root comes from the logs of the ints
-        v = pth_root(Value(F(10**400 + 1, 3)), 2)
-        assert not v.is_exact
-        assert v.as_float() == pytest.approx(1e200 / 3**0.5, rel=1e-12)
-        tiny = pth_root(Value(F(2, 10**401)), 2)
-        assert tiny.as_float() == pytest.approx(2**0.5 * 10**-200.5, rel=1e-12)
+        # numerator and denominator beyond the float range never pass
+        # through float(): the root is taken on the ints
+        q = F(10**400 + 1, 3)
+        v = pth_root(Value(q), 2)
+        assert not v.is_exact and v.as_float() == nearest_root(q, 2)
+        q = F(2, 10**401)
+        assert pth_root(Value(q), 2).as_float() == nearest_root(q, 2)
 
     def test_root_past_the_float_range_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="float range"):
             pth_root(Value(F(10**700 + 1)), 2)
 
     def test_power_past_the_float_range_is_exact(self):
-        # 1e200 ** 2 overflows a double; the exact rational of the double
-        # is powered instead, and a double that fits is left as it was
-        v = pth_power(Value(1e200), 2)
-        assert v == Value(F(1e200) ** 2) and v.is_exact
-        assert pth_power(Value(1e100), 2) == Value(1e100**2)
+        # the square of the double 1e200 overflows a double; at its exact
+        # ratio, as a p-norm takes it, its root is 1e200 exactly
+        v = pth_root(Value(F(1e200) ** 2), 2)
+        assert v.is_exact and v == Value(F(1e200))
 
     def test_large_cubes_are_exact(self):
         for n in (3**100, 2**200 + 1, 10**60 - 7):
             v = pth_root(Value(F(n**3, (n + 1) ** 3)), 3)
             assert v.is_exact and v == Value(F(n, n + 1))
+
+    def test_nearest_double_on_seeded_rationals_and_doubles(self):
+        rng = random.Random(11)
+        for p in (2, 3, 5):
+            for _ in range(400):
+                q = F(rng.randint(1, 10 ** rng.randint(1, 40)), rng.randint(1, 10 ** rng.randint(1, 40)))
+                v = pth_root(Value(q), p)
+                assert v.mag**p == q if v.is_exact else v.mag == nearest_root(q, p), (q, p)
+                x = 10.0 ** rng.uniform(-300, 300)
+                v = pth_root(Value(x), p)
+                assert type(v.mag) is float and v.mag == nearest_root(F(x), p), (x, p)
+
+    def test_root_near_a_double_rounds_to_it(self):
+        # the excess over 16/25 moves the root far less than half an ulp of 0.8
+        assert pth_root(Value(F(16, 25) + F(1, 10**24) / 16), 2) == Value(0.8)
+
+    def test_a_double_that_is_a_perfect_power_gives_a_double(self):
+        v = pth_root(Value(4.0), 2)
+        assert type(v.mag) is float and v.mag == 2.0
 
 
 class TestModes:
