@@ -44,6 +44,7 @@ from .values import (
     TopBound,
     Value,
     format_magnitude,
+    over_common_denominator,
 )
 
 TERMINATED = "✓"
@@ -74,6 +75,11 @@ def _fraction(s: str, text, path, problem: str) -> Fraction:
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
             raise SchemaError(path, f"exponent of {text!r} exceeds {MAX_EXPONENT}")
     try:
+        # digits, or digits/digits, as ints: Fraction's regex parser gives the
+        # same value and the same errors, slower
+        num, slash, den = s.partition("/")
+        if num.isdecimal() and (den.isdecimal() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         # Python's cap on int(str) digits, a guard like MAX_EXPONENT, kept as is
@@ -87,11 +93,16 @@ def parse_weight(text, eps: Fraction | None = None, path="weight") -> Fraction:
     """Parse "p/q" optionally combined with a symbolic eps, e.g. "1/2-eps".
 
     Terms are rationals or "eps" joined by + and -; eps must be supplied
-    when the symbol occurs.  Errors name ``path``.
+    when the symbol occurs.  Errors name ``path``; a JSON boolean is no
+    weight.
     """
+    if isinstance(text, bool):
+        raise SchemaError(path, f"malformed weight {text!r}")
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     s = str(text).replace(" ", "")
+    if "eps" not in s and "+" not in s[1:] and "-" not in s[1:]:  # one term
+        return _fraction(s, text, path, "malformed weight")
     total = Fraction(0)
     sign = 1
     token = ""
@@ -197,13 +208,12 @@ class ProbTS:
             for tgt in trans:
                 if tgt not in known:
                     raise SchemaError(f"transitions[{s}]", f"unknown state {tgt!r}")
-            total = sum(trans.values(), Fraction(0)) + Fraction(
-                self.terminate.get(s, 0)
-            )
-            if total != 1:
-                raise SchemaError(
-                    f"transitions[{s}]", f"weights sum to {total}, not 1"
-                )
+            weights = [w if type(w) is Fraction else Fraction(w)
+                       for w in (*trans.values(), self.terminate.get(s, 0))]
+            nums, den = over_common_denominator(weights)
+            if sum(nums) != den:
+                total = Fraction(sum(nums), den)
+                raise SchemaError(f"transitions[{s}]", f"weights sum to {total}, not 1")
         for s in self.states:
             for tgt, w in self.transitions.get(s, {}).items():
                 if w < 0:
@@ -254,7 +264,9 @@ def from_prob_ts(p: ProbTS, mode: NumericMode = EXACT) -> System:
     alpha = {}
     for s in p.states:
         weights = {Tagged("left", tgt): w for tgt, w in p.transitions.get(s, {}).items()}
-        tw = Fraction(p.terminate.get(s, 0))
+        tw = p.terminate.get(s, 0)
+        if type(tw) is not Fraction:
+            tw = Fraction(tw)
         if tw > 0:
             weights[Tagged("right", TERMINATED)] = tw
         alpha[s] = Distribution(weights)
@@ -324,7 +336,7 @@ def expr_from_json(doc, spaces, bound, path="expr") -> FunctorExpr:
             pn, pn_path = ev_doc["pnorm"], sub + ".eval.pnorm"
             c1 = parse_weight(pn.get("c1"), path=pn_path + ".c1")
             c2 = parse_weight(pn.get("c2"), path=pn_path + ".c2")
-            if not isinstance(pn.get("p"), int):
+            if type(pn.get("p")) is not int:  # a JSON boolean is no integer
                 raise SchemaError(pn_path + ".p", f"expected an integer, got {pn.get('p')!r}")
             try:
                 ev = PNormEval(pn["p"], c1, c2)

@@ -149,7 +149,7 @@ def _reads(sys: System) -> dict:
     reads = {}
     for s in sys.states:
         atoms = reads[s] = set()
-        walk_atoms(sys.expr, sys.alpha[s], lambda x, _: atoms.add(x))
+        walk_atoms(sys.expr, sys.alpha[s], atoms.add)
     return reads
 
 

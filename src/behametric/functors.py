@@ -63,13 +63,13 @@ class Distribution:
         pairs = []
         for x, p in dict(items).items():
             p = p if type(p) is Fraction else Fraction(p)
-            if p <= 0:
+            if p.numerator <= 0:
                 raise ShapeError(f"nonpositive weight {p} for {x!r}")
             pairs.append((x, p))
         pairs.sort(key=lambda xp: struct_key(xp[0]))
-        total = sum(p for _, p in pairs)
-        if total != 1:
-            raise ShapeError(f"weights sum to {total}, not 1")
+        nums, den = over_common_denominator([p for _, p in pairs])
+        if sum(nums) != den:
+            raise ShapeError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
         self._items = tuple(pairs)
         self._map = dict(pairs)
         self._hash = None  # computed on first use: memo and store keys hash it
@@ -185,45 +185,38 @@ class PseudometricTable:
         if check:
             self._check_triangle()
 
-    def _row(self, i) -> list:
-        """The distances from the atom at position i to every atom, in
-        carrier order."""
-        flat, off = self._flat, self._offset
-        start = off[i] + i + 1
-        return ([flat[off[k] + i] for k in range(i)] + [ZERO]
-                + flat[start:start + len(self.carrier) - i - 1])
-
-    @staticmethod
-    def _scaled(rows):
-        """The rows of Values in ``rows`` as integers: the finite magnitudes
-        scaled by the LCM of their denominators, doubles at their exact
-        ratios.  INF counts as an integer above any sum of two finite
-        entries of the rows (not as inf: int + inf raises once the scaled
-        integers pass 2**1024)."""
-        finite, _ = over_common_denominator(
-            [v.mag for row in rows for v in row if not v.is_infinite])
+    def _int_rows(self) -> list:
+        """The rows of the table as ints: the finite magnitudes scaled by
+        the LCM of their denominators, doubles at their exact ratios.  INF
+        counts as an int above any sum of two finite entries (not as inf:
+        int + inf raises once the scaled ints pass 2**1024)."""
+        flat = self._flat
+        finite, _ = over_common_denominator([v.mag for v in flat if not v.is_infinite])
         big = 4 * max(finite, default=0) + 1
         scaled = iter(finite)
-        return [[big if v.is_infinite else next(scaled) for v in row] for row in rows]
+        n = len(self.carrier)
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(combinations(range(n), 2), flat):
+            rows[i][j] = rows[j][i] = big if v.is_infinite else next(scaled)
+        return rows
 
     def _check_triangle(self):
         """ShapeError at the first failing triangle.  Only i < k is visited:
         (i, j, k) and (k, j, i) fail together, so the first failure is the
         first among all permutations."""
         n = len(self.carrier)
-        rows = [self._row(i) for i in range(n)]
-        mags = self._scaled(rows)
+        mags = self._int_rows()
         for i in range(n):
             ri = mags[i]
             for j in range(n):
                 dij, rj = ri[j], mags[j]
                 for k in range(i + 1, n):
                     if ri[k] > dij + rj[k] and j != i and j != k:
-                        d_ik, rhs = rows[i][k], add_ext(rows[i][j], rows[j][k])
-                        if exceeds(d_ik, rhs):
-                            a, b, c = self.carrier[i], self.carrier[j], self.carrier[k]
+                        a, b, c = self.carrier[i], self.carrier[j], self.carrier[k]
+                        d_ac, rhs = self.get(a, c), add_ext(self.get(a, b), self.get(b, c))
+                        if exceeds(d_ac, rhs):
                             raise ShapeError(
-                                f"triangle inequality fails: d({a},{c})={d_ik} > "
+                                f"triangle inequality fails: d({a},{c})={d_ac} > "
                                 f"d({a},{b})+d({b},{c})={rhs}"
                             )
 
@@ -390,47 +383,74 @@ def validate(expr: FunctorExpr, carrier, t, path="t") -> None:
     if type(carrier) is not frozenset:
         carrier = frozenset(carrier)
 
-    def in_carrier(x, where):
+    def in_carrier(x):
         if not isinstance(x, str) or x not in carrier:
-            raise ShapeError(f"{x!r} is not a carrier atom", where)
+            raise ShapeError(f"{x!r} is not a carrier atom")
 
     walk_atoms(expr, t, in_carrier, path)
 
 
 def walk_atoms(expr: FunctorExpr, t, visit, path="t") -> None:
-    """Check that t has the shape of expr, and call visit(x, its path) for
-    each part x of t at an Id node, in preorder: those are the atoms at
-    which a lifting of t reads the ground table.  A part whose shape does
-    not fit its node raises ShapeError at its path when the walk gets
-    there; visit judges the atoms."""
+    """Check that t has the shape of expr, and call visit(x) for each part x
+    of t at an Id node, in preorder: those are the atoms at which a lifting
+    of t reads the ground table.  A part whose shape does not fit its node
+    raises ShapeError when the walk gets there; visit judges the atoms and
+    refuses one with a ShapeError.  The error's path, ``path`` and then a
+    segment per node down to the failing part, is built only on failure."""
+    try:
+        _walk(expr, t, visit)
+    except ShapeError as exc:
+        raise _within(exc, path) from None
+
+
+def _walk(expr, t, visit) -> None:
+    """walk_atoms, with each failure's path taken from t: every node that
+    the ShapeError passes prefixes the segment of its failing part."""
     if isinstance(expr, Id):
-        visit(t, path)
+        visit(t)
     elif isinstance(expr, Const):
         if not isinstance(t, str) or t not in expr.space.carrier:
-            raise ShapeError(f"{t!r} is not an atom of constant space {expr.name!r}", path)
+            raise ShapeError(f"{t!r} is not an atom of constant space {expr.name!r}")
     elif isinstance(expr, Dist):
         if not isinstance(t, Distribution):
-            raise ShapeError(f"expected a distribution, got {t!r}", path)
-        for x, _ in t.items:
-            walk_atoms(expr.sub, x, visit, f"{path}.support[{x!r}]")
+            raise ShapeError(f"expected a distribution, got {t!r}")
+        try:
+            for x, _ in t.items:
+                _walk(expr.sub, x, visit)
+        except ShapeError as exc:
+            raise _within(exc, f".support[{x!r}]") from None
     elif isinstance(expr, FinPow):
         if not isinstance(t, frozenset):
-            raise ShapeError(f"expected a frozenset, got {t!r}", path)
-        for x in sorted_structs(t):
-            walk_atoms(expr.sub, x, visit, f"{path}.{x!r}")
+            raise ShapeError(f"expected a frozenset, got {t!r}")
+        xs = sorted_structs(t)  # raises outside the try: no x to name yet
+        try:
+            for x in xs:
+                _walk(expr.sub, x, visit)
+        except ShapeError as exc:
+            raise _within(exc, f".{x!r}") from None
     elif isinstance(expr, (Product, DiagSquare)):
         if not (isinstance(t, tuple) and len(t) == 2):
-            raise ShapeError(f"expected a pair, got {t!r}", path)
+            raise ShapeError(f"expected a pair, got {t!r}")
         sides = (expr.left, expr.right) if isinstance(expr, Product) else (expr.sub, expr.sub)
-        for k, side in enumerate(sides):
-            walk_atoms(side, t[k], visit, f"{path}[{k}]")
+        try:
+            for k, side in enumerate(sides):
+                _walk(side, t[k], visit)
+        except ShapeError as exc:
+            raise _within(exc, f"[{k}]") from None
     elif isinstance(expr, Coproduct):
         if not isinstance(t, Tagged):
-            raise ShapeError(f"expected a tagged value, got {t!r}", path)
-        side = expr.left if t.tag == "left" else expr.right
-        walk_atoms(side, t.value, visit, f"{path}.{t.tag}")
+            raise ShapeError(f"expected a tagged value, got {t!r}")
+        try:
+            _walk(expr.left if t.tag == "left" else expr.right, t.value, visit)
+        except ShapeError as exc:
+            raise _within(exc, f".{t.tag}") from None
     else:
-        raise ShapeError(f"unknown expression node {expr!r}", path)
+        raise ShapeError(f"unknown expression node {expr!r}")
+
+
+def _within(exc: ShapeError, segment: str) -> ShapeError:
+    """exc with segment put before its path."""
+    return ShapeError(exc.detail, segment + (exc.path or ""))
 
 
 def combine_product(ev, v1: Value, v2: Value) -> Value:

@@ -121,12 +121,104 @@ class TestDist:
                  "terminate": {"q": "1"}},
                 "terminate[q]: unknown state 'q'",
             ),
+            (
+                {"kind": "prob_ts", "states": ["x", "y"],
+                 "transitions": {"x": {"x": "3/2", "y": "-1/2"}, "y": {"y": "1"}}},
+                "transitions[x][y]: negative weight -1/2",
+            ),
+            (
+                {"kind": "prob_ts", "states": ["x"], "transitions": {"x": {"x": "3/2"}},
+                 "terminate": {"x": "-1/2"}},
+                "terminate[x]: negative weight -1/2",
+            ),
+            (
+                {"kind": "prob_ts", "states": ["x"], "transitions": {"x": {"x": True}}},
+                "transitions[x][x]: malformed weight True",
+            ),
+            (
+                {"kind": "prob_ts", "c": False, "states": ["x"],
+                 "transitions": {"x": {"x": "1"}}},
+                "c: malformed weight False",
+            ),
+            (
+                {"top": "1", "expr": {"id": {"discount": True}}, "states": [], "alpha": {}},
+                "expr.id.discount: malformed weight True",
+            ),
+            (
+                {"top": "1", "expr": {"product": {"left": "id", "right": "id", "eval": {
+                    "pnorm": {"p": True, "c1": "1/2", "c2": "1/2"}}}}},
+                "expr.product.eval.pnorm.p: expected an integer, got True",
+            ),
         ],
         ids=["duplicate-states", "unknown-target", "no-propositions", "product-sides",
              "pnorm-p", "pnorm-weight", "set-body", "non-object", "id-body",
-             "unknown-source"],
+             "unknown-source", "negative-weight", "negative-terminate", "bool-weight", "bool-c",
+             "bool-discount", "bool-pnorm-p"],
     )
     def test_malformed_document_names_its_path(self, capsys, tmp_path, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "dist", str(bad))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    # one expression with every node kind, and one malformed part under each
+    NODE_KINDS_EXPR = {"dist": {"coproduct": [
+        {"product": {"left": "id", "right": {"finpow": "id"}}},
+        {"diagsquare": {"const": "obs"}},
+    ]}}
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ({"pair": ["x", "y"]}, "alpha[x]: expected a distribution, got ('x', 'y')"),
+            (
+                {"dist": [["x", "1/2"], [{"right": {"pair": ["p", "q"]}}, "1/2"]]},
+                "alpha[x].support['x']: expected a tagged value, got 'x'",
+            ),
+            (
+                {"dist": [[{"left": {"pair": ["x", {"set": ["w"]}]}}, "1"]]},
+                "alpha[x].support[Tagged(tag='left', value=('x', frozenset({'w'})))].left[1]"
+                ".'w': 'w' is not a carrier atom",
+            ),
+            (
+                {"dist": [[{"left": {"pair": ["x", "y"]}}, "1"]]},
+                "alpha[x].support[Tagged(tag='left', value=('x', 'y'))].left[1]"
+                ": expected a frozenset, got 'y'",
+            ),
+            (
+                {"dist": [[{"left": "x"}, "1"]]},
+                "alpha[x].support[Tagged(tag='left', value='x')].left: expected a pair, got 'x'",
+            ),
+            (
+                {"dist": [[{"left": {"pair": [{"pair": ["x", "y"]}, {"set": []}]}}, "1"]]},
+                "alpha[x].support[Tagged(tag='left', value=(('x', 'y'), frozenset()))].left[0]"
+                ": ('x', 'y') is not a carrier atom",
+            ),
+            (
+                {"dist": [[{"right": "p"}, "1"]]},
+                "alpha[x].support[Tagged(tag='right', value='p')].right: expected a pair, got 'p'",
+            ),
+            (
+                {"dist": [[{"right": {"pair": ["p", {"pair": ["p", "q"]}]}}, "1"]]},
+                "alpha[x].support[Tagged(tag='right', value=('p', ('p', 'q')))].right[1]"
+                ": ('p', 'q') is not an atom of constant space 'obs'",
+            ),
+            (
+                {"dist": [[{"right": {"pair": ["w", "p"]}}, "1"]]},
+                "alpha[x].support[Tagged(tag='right', value=('w', 'p'))].right[0]"
+                ": 'w' is not an atom of constant space 'obs'",
+            ),
+        ],
+        ids=["dist", "dist-support", "finpow-element", "finpow-set", "product-pair",
+             "product-side", "coproduct-tag",
+             "diagsquare-component", "const-atom"],
+    )
+    def test_malformed_part_at_each_node_kind(self, capsys, tmp_path, alpha, message):
+        # the path names the failing part, through the repr of each support
+        # point and set element on the way
+        doc = {"top": "inf", "spaces": {"obs": {"carrier": ["p", "q"]}},
+               "expr": self.NODE_KINDS_EXPR, "states": ["x", "y"], "alpha": {"x": alpha, "y": alpha}}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, "dist", str(bad))

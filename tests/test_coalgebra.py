@@ -74,6 +74,53 @@ class TestParseWeight:
         assert parse_weight("2.5e+1-eps", F(1, 2)) == F(49, 2)
 
 
+# weights and rationals for the int fast path and Fraction's regex parser
+PARSE_TABLE = [
+    "3/7", "42", "007/010", "-1/3", "+1/3", "1_000/3", "1 / 3", " 1/3 ", "1e-3", "1/0", "",
+    "/3", "3/", "1//2", "0x10", "1.5", "\u0663/\u0664", "\u00b2/3",
+    pytest.param("1" * 4301 + "/3", id="4301-digit-numerator"),
+    pytest.param("3/" + "1" * 4301, id="4301-digit-denominator"),
+]
+
+
+class TestParseFastPath:
+    """Digits, or digits/digits, are read on ints; every string gives
+    Fraction(s)'s value, or the SchemaError its refusal gives, on whichever
+    Python runs the test (underscores, for one, are read from 3.11 on)."""
+
+    @staticmethod
+    def check(parse, s, text, problem):
+        try:
+            want = F(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            if str(exc).startswith("Exceeds the limit"):
+                limit = f"{sys.get_int_max_str_digits():,}-digit limit"
+                want = f"p: an integer past Python's {limit}"
+            else:
+                want = f"p: {problem} {text!r}"
+        if isinstance(want, F):
+            got = parse()
+            assert type(got) is F and got == want
+        else:
+            with pytest.raises(SchemaError) as err:
+                parse()
+            assert str(err.value) == want
+
+    @pytest.mark.parametrize("text", PARSE_TABLE)
+    def test_weight(self, text):
+        self.check(lambda: parse_weight(text, path="p"), text.replace(" ", ""), text,
+                   "malformed weight")
+
+    @pytest.mark.parametrize("text", PARSE_TABLE)
+    def test_rational(self, text):
+        self.check(lambda: parse_rational_or_inf(text, "p"), text.strip(), text,
+                   "not a rational:")
+
+    def test_eps_sum_is_no_rational(self):
+        with pytest.raises(SchemaError, match=r"^p: not a rational: '2\.5e\+1-eps'$"):
+            parse_rational_or_inf("2.5e+1-eps", "p")
+
+
 class TestHugeNumbers:
     """Exponents past MAX_EXPONENT and integers past Python's digit limit
     are rejected at once, with a path."""
@@ -195,6 +242,21 @@ class TestProbTs:
         p = ProbTS(("s",), {}, {"s": F(1)}, F(1, 2))
         sys_ = from_prob_ts(p)
         assert sys_.alpha["s"] == Distribution({Tagged("right", "✓"): F(1)})
+
+    def test_weights_other_than_fractions(self):
+        # doubles, ints and a string terminate weight, each read at its
+        # exact value
+        p = ProbTS(("x", "y"), {"x": {"x": 0.5, "y": 0.25}, "y": {"y": 1}},
+                   {"x": "1/4"}, F(1, 2))
+        assert from_prob_ts(p).alpha["x"] == Distribution(
+            {Tagged("left", "x"): F(1, 2), Tagged("left", "y"): F(1, 4),
+             Tagged("right", "✓"): F(1, 4)})
+        assert from_prob_ts(ProbTS(("x",), {"x": {"x": 1.0}}, {}, F(1, 2))).alpha["x"] == (
+            Distribution({Tagged("left", "x"): F(1)}))
+        with pytest.raises(SchemaError, match=r"^transitions\[x\]\[y\]: negative weight -0.5$"):
+            ProbTS(("x", "y"), {"x": {"x": 1.5, "y": -0.5}}, {"y": "1"}, F(1, 2))
+        with pytest.raises(SchemaError, match=r"^terminate\[x\]: negative weight -1/4$"):
+            ProbTS(("x",), {"x": {"x": 1.25}}, {"x": "-1/4"}, F(1, 2))
 
 
 class TestStateSets:

@@ -13,6 +13,7 @@ from behametric.functors import (
     DiagSquare,
     Dist,
     Distribution,
+    FinPow,
     Id,
     PNormEval,
     Product,
@@ -90,6 +91,19 @@ class TestValidate:
         validate(Product(Id(), Id()), ["x"], ("x", "x"))
         with pytest.raises(ShapeError):
             validate(Product(Id(), Id()), ["x"], "x")
+
+    def test_path_names_the_failing_part(self):
+        expr = Dist(Product(Id(), FinPow(Id())))
+        t = Distribution({("x", frozenset({"z"})): F(1)})
+        with pytest.raises(ShapeError) as err:
+            validate(expr, ["x"], t, path="a")
+        assert err.value.path == "a.support[('x', frozenset({'z'}))][1].'z'"
+        assert err.value.detail == "'z' is not a carrier atom"
+
+    def test_set_of_no_structure_value(self):
+        # the set's elements cannot be ordered: refused at the set's path
+        with pytest.raises(ShapeError, match=r"^t\[1\]: unknown structure value 1$"):
+            validate(Product(Id(), FinPow(Id())), ["x"], ("x", frozenset({1})))
 
 
 class TestPseudometricTable:
@@ -365,7 +379,7 @@ class TestTriangleCheckAgainstOracle:
         ]:
             table = PseudometricTable(["a", "b", "c"], dict(zip(keys, map(Value, mags))),
                                       TOP_INF, check=False)
-            rows = PseudometricTable._scaled([table._row(i) for i in range(3)])
+            rows = table._int_rows()
             assert all(type(m) is int for row in rows for m in row), mags
             assert [rows[i][i] for i in range(3)] == [0, 0, 0]
             scaled = list(zip(mags, [rows[0][1], rows[0][2], rows[1][2]]))
@@ -380,7 +394,7 @@ class TestTriangleCheckAgainstOracle:
         huge = Value(F(10) ** 400)
         entries = {("a", "b"): Value(0.5), ("a", "c"): huge, ("b", "c"): huge}
         table = PseudometricTable(["a", "b", "c"], entries, TOP_INF)
-        rows = PseudometricTable._scaled([table._row(i) for i in range(3)])
+        rows = table._int_rows()
         assert all(type(m) is int for row in rows for m in row)
         assert rows[0][1] * 2 * 10**400 == rows[0][2]
         with pytest.raises(ShapeError, match="triangle inequality fails"):
