@@ -65,6 +65,10 @@ class SchemaError(ValueError):
 # larger exponents (already far past any double) are refused before it runs
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# Fraction reads "1_000" from Python 3.11 on and "1 / 3" from 3.12 on; an
+# underscore between two digits and the spaces around "/" are dropped before
+# it runs, so every Python reads one grammar
+_SPELLING = re.compile(r"(?<=\d)_(?=\d)|\s+(?=/)|(?<=/)\s+")
 
 
 def _fraction(s: str, text, path, problem: str) -> Fraction:
@@ -80,7 +84,7 @@ def _fraction(s: str, text, path, problem: str) -> Fraction:
         num, slash, den = s.partition("/")
         if num.isdecimal() and (den.isdecimal() or not slash):
             return Fraction(int(num), int(den) if slash else 1)
-        return Fraction(s)
+        return Fraction(_SPELLING.sub("", s))
     except (ValueError, ZeroDivisionError) as exc:
         # Python's cap on int(str) digits, a guard like MAX_EXPONENT, kept as is
         if str(exc).startswith("Exceeds the limit"):
@@ -440,13 +444,15 @@ def struct_from_json(doc, path="t", eps=None):
     (kind, body), = doc.items()
     sub = f"{path}.{kind}"
     if kind == "dist":
-        try:
-            pairs = [
-                (struct_from_json(item, f"{sub}[{k}]", eps), parse_weight(w, eps, f"{sub}[{k}]"))
-                for k, (item, w) in enumerate(body)
-            ]
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(sub, f"expected [[item, weight], ...]: {exc}") from exc
+        if not isinstance(body, list):
+            raise SchemaError(sub, f"expected [[item, weight], ...], got {body!r}")
+        pairs = []
+        for k, pair in enumerate(body):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise SchemaError(f"{sub}[{k}]", f"expected [item, weight], got {pair!r}")
+            item, w = pair
+            where = f"{sub}[{k}]"
+            pairs.append((struct_from_json(item, where, eps), parse_weight(w, eps, where)))
         try:
             return Distribution(pairs)
         except ShapeError as exc:
@@ -598,12 +604,7 @@ def _parse_metric_ts(doc) -> MetricTS:
     }
     tau_doc = _object_field(doc, "tau")
     _known_sources(tau_doc, states, "tau")
-    tau = {}
-    for s in states:
-        try:
-            tau[s] = frozenset(tau_doc.get(s, []))
-        except TypeError:  # not iterable, or unhashable members
-            raise SchemaError(f"tau[{s}]", "expected a list of state names") from None
+    tau = {s: frozenset(_atom_list(tau_doc.get(s, []), f"tau[{s}]")) for s in states}
     return MetricTS(states, props, valuation, tau)
 
 

@@ -54,24 +54,27 @@ class Tagged:
 
 class Distribution:
     """Finitely supported probability distribution with positive rational
-    weights summing exactly to 1.  Hashable; support kept in canonical order."""
+    weights summing exactly to 1, from a dict or from (item, weight) pairs
+    whose items are distinct.  Hashable; support kept in canonical order."""
 
     __slots__ = ("_items", "_map", "_hash")
     _NO_MASS = Fraction(0)  # shared by every miss of prob: Fractions are immutable
 
     def __init__(self, items):
-        pairs = []
-        for x, p in dict(items).items():
+        weights = {}
+        for x, p in items.items() if isinstance(items, dict) else items:
             p = p if type(p) is Fraction else Fraction(p)
             if p.numerator <= 0:
                 raise ShapeError(f"nonpositive weight {p} for {x!r}")
-            pairs.append((x, p))
-        pairs.sort(key=lambda xp: struct_key(xp[0]))
+            if x in weights:
+                raise ShapeError(f"repeated item {x!r}")
+            weights[x] = p
+        pairs = sorted(weights.items(), key=lambda xp: struct_key(xp[0]))
         nums, den = over_common_denominator([p for _, p in pairs])
         if sum(nums) != den:
             raise ShapeError(f"weights sum to {Fraction(sum(nums), den)}, not 1")
         self._items = tuple(pairs)
-        self._map = dict(pairs)
+        self._map = weights
         self._hash = None  # computed on first use: memo and store keys hash it
 
     @property

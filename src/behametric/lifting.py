@@ -217,32 +217,24 @@ def kantorovich_linear_value(coeffs, cost) -> Value:
 
 class _Shipment:
     """Transport of the positive weights onto the negative ones.  The split
-    into sources and sinks and its instance are built once; each solve
-    refills the costs, and the instance keeps its last optimal basis."""
+    into sources and sinks and its instance are built once; each solve sets
+    the costs, and the instance keeps its last optimal basis."""
 
-    __slots__ = ("weights", "sources", "sinks", "inst")
+    __slots__ = ("sources", "sinks", "inst")
 
     def __init__(self, weights):
-        self.weights = weights
         self.sources = [i for i, w in enumerate(weights) if w > 0]
         self.sinks = [j for j, w in enumerate(weights) if w < 0]
-        self.inst = None
+        self.inst = TransportationInstance(
+            [weights[i] for i in self.sources], [-weights[j] for j in self.sinks]
+        )
 
     def value(self, cost) -> Value:
         """The cheapest transport at cost(i, j) per unit from i to j."""
         if not self.sources:
             return ZERO
-        costs = [[cost(i, j) for j in self.sinks] for i in self.sources]
-        if self.inst is None:
-            self.inst = TransportationInstance(
-                [self.weights[i] for i in self.sources],
-                [-self.weights[j] for j in self.sinks],
-                costs,
-            )
-        else:
-            self.inst.cost = costs
-        value, _ = solve_transportation(self.inst)
-        return value
+        self.inst.cost = [[cost(i, j) for j in self.sinks] for i in self.sources]
+        return solve_transportation(self.inst)
 
 
 # ---------------------------------------------------------------------------

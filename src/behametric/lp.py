@@ -17,69 +17,55 @@ square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .values import INF, Value, over_common_denominator
 
-ZERO = Fraction(0)
 
-
-@dataclass
 class TransportationInstance:
     """Balanced transportation problem: move supply to demand at min cost.
 
-    Costs are Values; an infinite cost forbids the cell.  Supplies and
-    demands are nonnegative rationals with equal totals, not necessarily 1:
-    the two components of a diagonal square ship a mass of up to 2.  A
-    caller may replace the costs between solves but never the masses:
-    ``scaled`` holds them times ``unit`` as ints, ``basis`` the optimal
-    basis of the last solve, where the next one starts, and ``walk`` what a
-    solve reads of that basis (see ``_basis_walk``).
+    Supplies and demands are nonnegative rationals with equal totals, not
+    necessarily 1: the two components of a diagonal square ship a mass of up
+    to 2.  They are kept once, as ints: ``scaled`` holds (supply, demand)
+    times ``unit``.  ``cost``, a matrix of Values with one row per supply, is
+    set before each solve; an infinite cost forbids the cell.  A caller may
+    replace the costs between solves but never the masses.  ``basis``, the
+    (plan, rows, cols) of ``_north_west_corner``, is the optimal basis of the
+    last solve, where the next one starts: its plan holds the optimal flows
+    times ``unit``.  ``walk`` is what a solve reads of that basis (see
+    ``_basis_walk``), kept until a pivot or a cold start moves the basis.
     """
 
-    supply: list
-    demand: list
-    cost: list  # matrix of Value
-    # (plan, rows, cols) as _north_west_corner builds them, flows times unit
-    basis: tuple | None = field(default=None, repr=False, compare=False)
-    # the basis's plan as Fractions and its _basis_walk, each kept until a
-    # pivot or a cold start moves the basis
-    plan: list | None = field(default=None, init=False, repr=False, compare=False)
-    walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    unit: int = field(init=False, repr=False, compare=False)
-    scaled: tuple = field(init=False, repr=False, compare=False)  # (supply, demand)
+    __slots__ = ("scaled", "unit", "cost", "basis", "walk")
 
-    def __post_init__(self):
-        self.supply = [s if type(s) is Fraction else Fraction(s) for s in self.supply]
-        self.demand = [d if type(d) is Fraction else Fraction(d) for d in self.demand]
-        if any(s < 0 for s in self.supply) or any(d < 0 for d in self.demand):
+    def __init__(self, supply, demand):
+        masses, self.unit = over_common_denominator([*supply, *demand])
+        if any(x < 0 for x in masses):
             raise ValueError("negative mass")
-        if sum(self.supply) != sum(self.demand):
+        m = len(supply)
+        self.scaled = supply, demand = masses[:m], masses[m:]
+        if sum(supply) != sum(demand):
             raise ValueError(
-                f"supply sum {sum(self.supply)} != demand sum {sum(self.demand)}"
+                f"supply sum {Fraction(sum(supply), self.unit)} != "
+                f"demand sum {Fraction(sum(demand), self.unit)}"
             )
-        if len(self.cost) != len(self.supply) or any(
-            len(row) != len(self.demand) for row in self.cost
-        ):
-            raise ValueError("cost matrix shape mismatch")
-        masses, self.unit = over_common_denominator(self.supply + self.demand)
-        m = len(self.supply)
-        self.scaled = (masses[:m], masses[m:])
+        self.cost = self.basis = self.walk = None
 
 
-def solve_transportation(inst: TransportationInstance):
-    """Minimal-cost coupling; returns (value: Value, plan: matrix | None).
+def solve_transportation(inst: TransportationInstance) -> Value:
+    """The least cost of a coupling under ``inst.cost``, a Value.
 
     When every feasible plan must use a forbidden (infinite-cost) cell the
-    value is infinite and the plan is None.  An inexact (double) cost is
-    priced at its exact binary value, its integer ratio, and the optimum is
-    then returned as the double nearest to it, or exactly when it lies past
-    the double range.  The optimum is unique, so
-    where the solve starts moves only the work and which optimal plan comes
-    back.  The plan is a fresh matrix of Fractions.
+    value is infinite.  An inexact (double) cost is priced at its exact
+    binary value, its integer ratio, and the optimum is then returned as the
+    double nearest to it, or exactly when it lies past the double range.
+    The optimum is unique, so where the solve starts moves only the work and
+    which optimal plan ``inst.basis[0]`` holds afterwards.
     """
-    m, n = len(inst.supply), len(inst.demand)
+    m, n = map(len, inst.scaled)
+    if len(inst.cost) != m or any(len(row) != n for row in inst.cost):
+        raise ValueError("cost matrix shape mismatch")
     # each magnitude is read once, row-major: a float is a forbidden cell
     # (INF, scaled as 0 and then set to big) or a double
     cost = [v.mag for row in inst.cost for v in row]
@@ -98,7 +84,7 @@ def solve_transportation(inst: TransportationInstance):
     for k in forbidden:
         cost[k] = big
     if inst.basis is None:
-        inst.basis, inst.plan, inst.walk = _north_west_corner(*inst.scaled), None, None
+        inst.basis, inst.walk = _north_west_corner(*inst.scaled), None
     plan, rows, cols = inst.basis  # pivoted in place
     while True:
         if inst.walk is None:
@@ -117,10 +103,10 @@ def solve_transportation(inst: TransportationInstance):
         else:
             break
         _pivot_cycle(plan, rows, cols, i, mj - m)
-        inst.walk = inst.plan = None
+        inst.walk = None
     flows = [(i, j) for i in range(m) for j in rows[i] if plan[i][j]]
     if forbidden and any(cost[i * n + j] == big for i, j in flows):
-        return Value(INF), None
+        return Value(INF)
     total = sum(plan[i][j] * cost[i * n + j] for i, j in flows)
     den *= inst.unit
     # every scale is positive, so each comparison and pivot was the rationals'
@@ -129,9 +115,7 @@ def solve_transportation(inst: TransportationInstance):
         value = Fraction(total, den) if exact else total / den
     except OverflowError:  # an optimum past the double range stays exact
         value = Fraction(total, den)
-    if inst.plan is None:
-        inst.plan = [[Fraction(x, inst.unit) if x else ZERO for x in row] for row in plan]
-    return Value(value), [row[:] for row in inst.plan]
+    return Value(value)
 
 
 def _north_west_corner(supply, demand):

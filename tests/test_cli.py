@@ -18,6 +18,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def dist_doc(body, sub="id"):
+    """A generic Dist(sub) system whose state x moves by body."""
+    return {"top": "1", "expr": {"dist": sub}, "states": ["x", "y"],
+            "alpha": {"x": {"dist": body}, "y": {"dist": [["y", "1"]]}}}
+
+
+def tau_doc(tau):
+    """A metric_ts over states a and b with successors tau."""
+    return {"kind": "metric_ts", "states": ["a", "b"], "propositions": {"r": {"carrier": ["p"]}},
+            "valuation": {"a": {"r": "p"}, "b": {"r": "p"}}, "tau": tau}
+
+
 class TestDist:
     def test_left_example_exact_csv(self, capsys):
         code, out, _ = run(
@@ -149,11 +161,37 @@ class TestDist:
                     "pnorm": {"p": True, "c1": "1/2", "c2": "1/2"}}}}},
                 "expr.product.eval.pnorm.p: expected an integer, got True",
             ),
+            # the generic {"dist": ...} reader: one path per message
+            (dist_doc([["x", ""]]), "alpha.x.dist[0]: malformed weight ''"),
+            (dist_doc([["x", "1-eps"], ["y", "eps"]]),
+             "alpha.x.dist[0]: '1-eps' needs an eps value"),
+            (dist_doc([[{"bogus": "x"}, "1"]]),
+             "alpha.x.dist[0]: unknown structure kind 'bogus'"),
+            (dist_doc("junk"), "alpha.x.dist: expected [[item, weight], ...], got 'junk'"),
+            (dist_doc([["x", "1"], "junk"]),
+             "alpha.x.dist[1]: expected [item, weight], got 'junk'"),
+            (dist_doc([["x", "1", "2"]]),
+             "alpha.x.dist[0]: expected [item, weight], got ['x', '1', '2']"),
+            # a repeated item would keep only its last weight
+            (dist_doc([["x", "1/2"], ["y", "1/2"], ["x", "1/2"]]),
+             "alpha.x.dist: repeated item 'x'"),
+            (dist_doc([["x", "1/2"], ["x", "1/2"]]), "alpha.x.dist: repeated item 'x'"),
+            (
+                dist_doc([[{"set": ["x"]}, "1/2"], [{"set": ["x", "x"]}, "1/2"]], {"finpow": "id"}),
+                "alpha.x.dist: repeated item frozenset({'x'})",
+            ),
+            # a tau entry is a list of names, not read a character or key at a time
+            (tau_doc({"a": "ab"}), "tau[a]: expected a list of names, got 'ab'"),
+            (tau_doc({"b": {"a": 0}}), "tau[b]: expected a list of names, got {'a': 0}"),
+            (tau_doc({"a": "b"}), "tau[a]: expected a list of names, got 'b'"),
+            (tau_doc({"a": ["b", 1]}), "tau[a][1]: expected a name, got 1"),
         ],
         ids=["duplicate-states", "unknown-target", "no-propositions", "product-sides",
              "pnorm-p", "pnorm-weight", "set-body", "non-object", "id-body",
              "unknown-source", "negative-weight", "negative-terminate", "bool-weight", "bool-c",
-             "bool-discount", "bool-pnorm-p"],
+             "bool-discount", "bool-pnorm-p", "dist-weight", "dist-eps", "dist-item-kind",
+             "dist-body", "dist-pair", "dist-long-pair", "repeated-item", "repeated-item-only",
+             "repeated-set", "tau-string", "tau-object", "tau-one-name", "tau-non-name"],
     )
     def test_malformed_document_names_its_path(self, capsys, tmp_path, doc, message):
         bad = tmp_path / "bad.json"
@@ -397,6 +435,10 @@ PINNED_WARNINGS = {
     ("pnorm_top2_exact.csv", ("dist", DATA / "pnorm_top2.json", "--exact")),
     ("pnorm_top2_float.csv", ("dist", DATA / "pnorm_top2.json", "--float", "1e-9")),
     ("pnorm_top_past_double_exact.csv", ("dist", FIXTURES / "pnorm_top_past_double.json", "--exact")),
+    # "1_000/3_000" weights, a "9_0/1_00" discount and a "1 / 3" entry read as
+    # on every Python; recorded from the same system spelled plainly
+    ("rational_spellings_exact.csv",
+     ("dist", FIXTURES / "rational_spellings.json", "--exact")),
 ])
 def test_float_mode_output_pinned(capsys, golden, args):
     # the float goldens were recorded before the triangle check screened
@@ -404,6 +446,18 @@ def test_float_mode_output_pinned(capsys, golden, args):
     code, out, err = run(capsys, *map(str, args))
     assert (code, err) == (0, PINNED_WARNINGS.get(golden, ""))
     assert out == (FIXTURES / golden).read_text()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("malformed_bool_weight.json", "transitions[x][y]: malformed weight True"),
+    ("malformed_long_weight.json", "transitions[x][y]: an integer past Python's 4,300-digit limit"),
+    ("malformed_repeated_item.json", "alpha.x.dist: repeated item 'x'"),
+    ("malformed_string_tau.json", "tau[a]: expected a list of names, got 'ab'"),
+])
+def test_malformed_fixture_exits_with_one_line(capsys, doc, message):
+    # the documents CI's malformed loop runs
+    code, out, err = run(capsys, "dist", str(FIXTURES / doc))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestTrace:

@@ -74,47 +74,54 @@ class TestParseWeight:
         assert parse_weight("2.5e+1-eps", F(1, 2)) == F(49, 2)
 
 
-# weights and rationals for the int fast path and Fraction's regex parser
-PARSE_TABLE = [
-    "3/7", "42", "007/010", "-1/3", "+1/3", "1_000/3", "1 / 3", " 1/3 ", "1e-3", "1/0", "",
-    "/3", "3/", "1//2", "0x10", "1.5", "\u0663/\u0664", "\u00b2/3",
-    pytest.param("1" * 4301 + "/3", id="4301-digit-numerator"),
-    pytest.param("3/" + "1" * 4301, id="4301-digit-denominator"),
-]
+# weights and rationals for the int fast path and Fraction's regex parser,
+# each with what both parsers make of it on every Python: a Fraction, MALFORMED
+# or LIMIT (an integer past Python's default digit limit)
+MALFORMED, LIMIT = "malformed", "limit"
+LONG = "1" * 4301
+PARSE_TABLE = {
+    "3/7": F(3, 7), "42": F(42), "007/010": F(7, 10), "-1/3": F(-1, 3), "+1/3": F(1, 3),
+    "1_000/3": F(1000, 3), "1 / 3": F(1, 3), " 1/3 ": F(1, 3), "1e-3": F(1, 1000),
+    "1/0": MALFORMED, "": MALFORMED, "/3": MALFORMED, "3/": MALFORMED, "1//2": MALFORMED,
+    "0x10": MALFORMED, "1.5": F(3, 2), "\u0663/\u0664": F(3, 4), "\u00b2/3": MALFORMED,
+    # an underscore only between two digits, in any run of them; any space
+    # around the slash
+    "1_000.2_5e1_0": F(100025, 100) * 10**10, "-1_0/3_0": F(-1, 3), "1\t/\t3": F(1, 3),
+    "1__000": MALFORMED, "_1": MALFORMED, "1_": MALFORMED, "1_/3": MALFORMED,
+    "1/_3": MALFORMED, "1_.5": MALFORMED,
+    LONG + "/3": LIMIT, "3/" + LONG: LIMIT,
+}
+PARSE_IDS = {LONG + "/3": "4301-digit-numerator", "3/" + LONG: "4301-digit-denominator"}
+PARSE_TEXTS = [pytest.param(t, id=PARSE_IDS[t]) if t in PARSE_IDS else t for t in PARSE_TABLE]
 
 
 class TestParseFastPath:
-    """Digits, or digits/digits, are read on ints; every string gives
-    Fraction(s)'s value, or the SchemaError its refusal gives, on whichever
-    Python runs the test (underscores, for one, are read from 3.11 on)."""
+    """Digits, or digits/digits, are read on ints; every string gives the
+    value or the refusal PARSE_TABLE records for it, whichever Python runs
+    the test."""
 
     @staticmethod
-    def check(parse, s, text, problem):
-        try:
-            want = F(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            if str(exc).startswith("Exceeds the limit"):
-                limit = f"{sys.get_int_max_str_digits():,}-digit limit"
-                want = f"p: an integer past Python's {limit}"
-            else:
-                want = f"p: {problem} {text!r}"
+    def check(parse, text, problem):
+        want = PARSE_TABLE[text]
         if isinstance(want, F):
             got = parse()
             assert type(got) is F and got == want
+            return
+        if want == LIMIT:
+            message = "an integer past Python's 4,300-digit limit"
         else:
-            with pytest.raises(SchemaError) as err:
-                parse()
-            assert str(err.value) == want
+            message = f"{problem} {text!r}"
+        with pytest.raises(SchemaError) as err:
+            parse()
+        assert str(err.value) == f"p: {message}"
 
-    @pytest.mark.parametrize("text", PARSE_TABLE)
+    @pytest.mark.parametrize("text", PARSE_TEXTS)
     def test_weight(self, text):
-        self.check(lambda: parse_weight(text, path="p"), text.replace(" ", ""), text,
-                   "malformed weight")
+        self.check(lambda: parse_weight(text, path="p"), text, "malformed weight")
 
-    @pytest.mark.parametrize("text", PARSE_TABLE)
+    @pytest.mark.parametrize("text", PARSE_TEXTS)
     def test_rational(self, text):
-        self.check(lambda: parse_rational_or_inf(text, "p"), text.strip(), text,
-                   "not a rational:")
+        self.check(lambda: parse_rational_or_inf(text, "p"), text, "not a rational:")
 
     def test_eps_sum_is_no_rational(self):
         with pytest.raises(SchemaError, match=r"^p: not a rational: '2\.5e\+1-eps'$"):

@@ -50,6 +50,13 @@ class TestDistribution:
         with pytest.raises(ShapeError):
             Distribution({"x": F(3, 2), "y": F(-1, 2)})
 
+    def test_pairs_with_distinct_items(self):
+        half = F(1, 2)
+        assert Distribution([("y", half), ("x", half)]) == Distribution({"x": half, "y": half})
+        for pairs in ([("x", half), ("y", half), ("x", half)], [("x", half), ("x", half)]):
+            with pytest.raises(ShapeError, match=r"^repeated item 'x'$"):
+                Distribution(pairs)
+
     def test_fraction_weights_are_kept(self):
         half, third = F(1, 2), F(1, 3)
         p = Distribution({"x": half, "y": third, "z": 1 - half - third})

@@ -101,46 +101,78 @@ def _cost(mags):
     return [[Value(INF) if m == "inf" else Value(F(m)) for m in row] for row in mags]
 
 
+def _instance(supply, demand, cost):
+    inst = TransportationInstance(supply, demand)
+    inst.cost = cost
+    return inst
+
+
+def _plan(inst):
+    """The optimal plan of inst's last solve, as Fractions: the flows of
+    its basis over the masses' unit."""
+    return [[F(x, inst.unit) for x in row] for row in inst.basis[0]]
+
+
+def _assert_infinite(value, inst):
+    """An infinite value, and a basis plan that ships mass on a forbidden
+    cell: no coupling avoids them all."""
+    assert value.is_infinite
+    assert any(
+        x and inst.cost[i][j].is_infinite
+        for i, row in enumerate(inst.basis[0]) for j, x in enumerate(row)
+    )
+
+
 class TestTransportation:
     def test_single_point(self):
-        inst = TransportationInstance([F(1)], [F(1)], _cost([["1/2"]]))
-        value, plan = solve_transportation(inst)
+        inst = _instance([F(1)], [F(1)], _cost([["1/2"]]))
+        value = solve_transportation(inst)
         assert value.is_zero is False and value == Value(F(1, 2))
-        assert plan == [[F(1)]]
+        assert _plan(inst) == [[F(1)]]
 
     def test_identical_marginals_zero(self):
-        inst = TransportationInstance(
+        inst = _instance(
             [F(1, 2), F(1, 2)],
             [F(1, 2), F(1, 2)],
             _cost([[0, "9/10"], ["9/10", 0]]),
         )
-        value, _ = solve_transportation(inst)
-        assert value.is_zero
+        assert solve_transportation(inst).is_zero
 
     def test_worked_probabilistic_pair(self):
         # marginals {u: 9/20, z: 11/20} vs {u: 1/2, z: 1/2} over the ground
         # distance with cross cost 9/10: the optimum moves mass 1/20
-        inst = TransportationInstance(
-            [F(9, 20), F(11, 20)],
-            [F(1, 2), F(1, 2)],
-            _cost([[0, "9/10"], ["9/10", 0]]),
-        )
-        value, plan = solve_transportation(inst)
-        assert value == Value(F(9, 200))
-        # plan is a feasible coupling
-        assert [sum(row) for row in plan] == inst.supply
-        assert [sum(col) for col in zip(*plan)] == inst.demand
+        supply, demand = [F(9, 20), F(11, 20)], [F(1, 2), F(1, 2)]
+        inst = _instance(supply, demand, _cost([[0, "9/10"], ["9/10", 0]]))
+        assert solve_transportation(inst) == Value(F(9, 200))
+        # the plan is a feasible coupling
+        _assert_feasible(inst, supply, demand)
+        assert _plan(inst) == [[F(9, 20), F(0)], [F(1, 20), F(1, 2)]]
 
     def test_forbidden_cells_infeasible(self):
-        inst = TransportationInstance(
-            [F(1)], [F(1)], [[Value(INF)]]
-        )
-        value, plan = solve_transportation(inst)
-        assert value.is_infinite and plan is None
+        inst = _instance([F(1)], [F(1)], [[Value(INF)]])
+        _assert_infinite(solve_transportation(inst), inst)
+
+    def test_masses_kept_as_ints_over_one_unit(self):
+        inst = TransportationInstance([F(1, 6), 0.5, 1], [F(5, 3)])
+        assert inst.scaled == ([1, 3, 6], [10]) and inst.unit == 6
+        assert not hasattr(inst, "__dict__")
 
     def test_sum_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TransportationInstance([F(1)], [F(1, 2)], _cost([["1/2"]]))
+        with pytest.raises(ValueError, match="^supply sum 1 != demand sum 1/2$"):
+            TransportationInstance([F(1)], [F(1, 2)])
+
+    def test_negative_mass_rejected(self):
+        for supply, demand in (([F(3, 2), F(-1, 2)], [F(1)]), ([F(1)], [F(3, 2), F(-1, 2)])):
+            with pytest.raises(ValueError, match="^negative mass$"):
+                TransportationInstance(supply, demand)
+
+    def test_cost_shape_checked_on_every_solve(self):
+        inst = _instance([F(1, 2), F(1, 2)], [F(1)], _cost([[0], [1]]))
+        assert solve_transportation(inst) == Value(F(1, 2))
+        for cost in (_cost([[0], [1], [1]]), _cost([[0, 1], [1]]), _cost([[0]])):
+            inst.cost = cost
+            with pytest.raises(ValueError, match="cost matrix shape mismatch"):
+                solve_transportation(inst)
 
     def test_matches_vertex_oracle_on_random_instances(self):
         rng = random.Random(11)
@@ -155,8 +187,7 @@ class TestTransportation:
                 [Value(F(rng.randint(0, 8), 8)) for _ in range(n)]
                 for _ in range(m)
             ]
-            inst = TransportationInstance(supply, demand, cost)
-            value, _ = solve_transportation(inst)
+            value = solve_transportation(_instance(supply, demand, cost))
             best = min(
                 sum(
                     (cost[i][j].as_fraction() * plan[i][j] for i in range(m) for j in range(n)),
@@ -176,8 +207,7 @@ class TestTransportation:
                 [Value(F(rng.choice([0, 0, 1]), 2)) for _ in range(n)]
                 for _ in range(m)
             ]
-            inst = TransportationInstance(supply, demand, cost)
-            value, _ = solve_transportation(inst)
+            value = solve_transportation(_instance(supply, demand, cost))
             zero_plan_exists = any(
                 all(
                     plan[i][j] == 0 or cost[i][j].is_zero
@@ -215,6 +245,18 @@ def _oracle_value(supply, demand, cost):
     return min(costs) if costs else INF
 
 
+def _assert_feasible(inst, supply, demand):
+    """The basis plan is an exact coupling of supply and demand that ships
+    nothing on a forbidden cell."""
+    plan = _plan(inst)
+    assert [sum(row) for row in plan] == supply
+    assert [sum(col) for col in zip(*plan)] == demand
+    assert all(x >= 0 for row in plan for x in row)
+    assert not any(
+        x and inst.cost[i][j].is_infinite for i, row in enumerate(plan) for j, x in enumerate(row)
+    )
+
+
 class TestTransportationSimplex:
     def test_matches_vertex_oracle_with_forbidden_cells(self):
         rng = random.Random(23)
@@ -228,27 +270,21 @@ class TestTransportationSimplex:
                 ]
                 for _ in range(m)
             ]
-            value, plan = solve_transportation(TransportationInstance(supply, demand, cost))
+            inst = _instance(supply, demand, cost)
+            value = solve_transportation(inst)
             expected = _oracle_value(supply, demand, cost)
             if expected is INF:
-                assert value.is_infinite and plan is None
+                _assert_infinite(value, inst)
                 continue
             assert value == Value(expected)
-            # the plan is an exact coupling of the marginals; _plan_cost
-            # raises on mass in a forbidden cell
-            assert [sum(row) for row in plan] == supply
-            assert [sum(col) for col in zip(*plan)] == demand
-            assert all(x >= 0 for row in plan for x in row)
-            assert _plan_cost(cost, plan) == expected
+            _assert_feasible(inst, supply, demand)
+            assert _plan_cost(cost, _plan(inst)) == expected
 
     def test_fully_degenerate_instance_terminates(self):
         supply = demand = [F(1, 4)] * 4
-        value, plan = solve_transportation(
-            TransportationInstance(supply, demand, _cost([["1/2"] * 4] * 4))
-        )
-        assert value == Value(F(1, 2))
-        assert [sum(row) for row in plan] == supply
-        assert [sum(col) for col in zip(*plan)] == demand
+        inst = _instance(supply, demand, _cost([["1/2"] * 4] * 4))
+        assert solve_transportation(inst) == Value(F(1, 2))
+        _assert_feasible(inst, supply, demand)
 
     def test_every_instance_without_a_finite_plan_is_infinite(self):
         # each row may use only its own column, but the marginals differ
@@ -258,19 +294,17 @@ class TestTransportationSimplex:
             ([F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]),
             ([F(1), F(0)], [F(0), F(1)]),
         ):
-            value, plan = solve_transportation(TransportationInstance(supply, demand, cost))
-            assert value.is_infinite and plan is None
+            inst = _instance(supply, demand, cost)
+            _assert_infinite(solve_transportation(inst), inst)
         # every cell carrying mass is forbidden
-        value, plan = solve_transportation(
-            TransportationInstance([F(0), F(1)], [F(1)], [[one], [inf]])
-        )
-        assert value.is_infinite and plan is None
+        inst = _instance([F(0), F(1)], [F(1)], [[one], [inf]])
+        _assert_infinite(solve_transportation(inst), inst)
 
     def test_zero_mass_rows_may_touch_forbidden_cells(self):
         inf, half = Value(INF), Value(F(1, 2))
-        inst = TransportationInstance([F(0), F(1)], [F(1), F(0)], [[inf, inf], [half, inf]])
-        value, plan = solve_transportation(inst)
-        assert value == half and plan == [[F(0), F(0)], [F(1), F(0)]]
+        inst = _instance([F(0), F(1)], [F(1), F(0)], [[inf, inf], [half, inf]])
+        assert solve_transportation(inst) == half
+        assert _plan(inst) == [[F(0), F(0)], [F(1), F(0)]]
 
 
 def _random_cost(rng, m, n, doubles):
@@ -289,15 +323,6 @@ def _random_cost(rng, m, n, doubles):
     return [[cell() for _ in range(n)] for _ in range(m)]
 
 
-def _assert_feasible(inst, plan):
-    assert [sum(row) for row in plan] == inst.supply
-    assert [sum(col) for col in zip(*plan)] == inst.demand
-    assert all(x >= 0 for row in plan for x in row)
-    assert not any(
-        x and inst.cost[i][j].is_infinite for i, row in enumerate(plan) for j, x in enumerate(row)
-    )
-
-
 class TestWarmStart:
     """A solve after the first starts from the instance's last optimal
     basis; only the costs change in between."""
@@ -310,22 +335,19 @@ class TestWarmStart:
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             # zero masses leave zero-flow cells in every basis
             supply, demand = _random_mass(rng, m), _random_mass(rng, n)
-            inst = TransportationInstance(supply, demand, _random_cost(rng, m, n, doubles))
-            _, plan = solve_transportation(inst)
+            inst = _instance(supply, demand, _random_cost(rng, m, n, doubles))
+            solve_transportation(inst)
             for _ in range(4):
-                earlier = plan and (plan, [row[:] for row in plan])
                 warm += inst.basis is not None
                 inst.cost = _random_cost(rng, m, n, doubles)
-                value, plan = solve_transportation(inst)
-                cold, _ = solve_transportation(TransportationInstance(supply, demand, inst.cost))
+                value = solve_transportation(inst)
+                cold = solve_transportation(_instance(supply, demand, inst.cost))
                 assert value == cold and type(value.mag) is type(cold.mag)
-                if earlier:  # a plan handed back before is left as it was
-                    assert earlier[0] == earlier[1]
                 if value.is_infinite:
-                    assert plan is None
+                    _assert_infinite(value, inst)
                     continue
-                _assert_feasible(inst, plan)
-                exact = _plan_cost(inst.cost, plan)
+                _assert_feasible(inst, supply, demand)
+                exact = _plan_cost(inst.cost, _plan(inst))
                 assert value.mag == (exact if value.is_exact else float(exact))
         assert warm > 300
 
@@ -391,7 +413,7 @@ class TestBlandPricing:
         for _ in range(120):
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             supply, demand = _random_mass(rng, m), _random_mass(rng, n)
-            inst = TransportationInstance(supply, demand, _random_cost(rng, m, n, doubles))
+            inst = _instance(supply, demand, _random_cost(rng, m, n, doubles))
             current.append(inst)
             for k in range(5):
                 if k:
@@ -408,14 +430,15 @@ class TestBlandPricing:
             _cost([[0 if j == (i + k) % 3 else 1 for j in range(3)] for i in range(3)])
             for k in range(8)
         ]
-        inst = TransportationInstance([F(1, 3)] * 3, [F(1, 3)] * 3, costs[0])
+        third = [F(1, 3)] * 3
+        inst = _instance(third, third, costs[0])
         entered = _spy_on_pivots(monkeypatch, lambda: inst)
         for cost in costs:
             inst.cost, before = cost, len(entered)
-            value, plan = solve_transportation(inst)
+            value = solve_transportation(inst)
             assert len(entered) > before
-            assert value == Value(F(0)) and _plan_cost(cost, plan) == 0
-            _assert_feasible(inst, plan)
+            assert value == Value(F(0)) and _plan_cost(cost, _plan(inst)) == 0
+            _assert_feasible(inst, third, third)
 
 
 def _wide_cost(rng, m, n):
@@ -447,18 +470,18 @@ class TestDoubleCosts:
         for _ in range(80):
             m, n = rng.randint(1, 3), rng.randint(1, 3)
             supply, demand = _random_mass(rng, m), _random_mass(rng, n)
-            inst = TransportationInstance(supply, demand, _wide_cost(rng, m, n))
+            inst = _instance(supply, demand, _wide_cost(rng, m, n))
             for _ in range(4):  # a cold solve, then warm ones on new costs
-                value, plan = solve_transportation(inst)
+                value = solve_transportation(inst)
                 expected = _oracle_value(supply, demand, inst.cost)
                 if expected is INF:
-                    assert value.is_infinite and plan is None
+                    _assert_infinite(value, inst)
                 else:
                     doubles = any(not v.is_exact for row in inst.cost for v in row)
                     assert type(value.mag) is (float if doubles else F)
                     assert value.mag == (float(expected) if doubles else expected)
-                    _assert_feasible(inst, plan)
-                    assert _plan_cost(inst.cost, plan) == expected
+                    _assert_feasible(inst, supply, demand)
+                    assert _plan_cost(inst.cost, _plan(inst)) == expected
                     rounded += doubles and float(expected) != expected
                 inst.cost = _wide_cost(rng, m, n)
         assert rounded > 50

@@ -93,8 +93,7 @@ class TestSuites:
         solve = lifting.solve_transportation
 
         def halved(inst):
-            value, plan = solve(inst)
-            return Value(value.mag / 2), plan
+            return Value(solve(inst).mag / 2)
 
         monkeypatch.setattr(lifting, "solve_transportation", halved)
         result = run_suite(name, seed=13, n=8)
