@@ -184,6 +184,12 @@ def main(argv=None) -> int:
         # SchemaError, ShapeError and ConfigurationError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
+    except RecursionError:
+        # json reads nesting deeper than the loader and the lifting recurse through
+        sys.stderr.write(
+            f"error: nesting too deep for Python's recursion limit of {sys.getrecursionlimit()}\n"
+        )
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -62,7 +62,8 @@ class SchemaError(ValueError):
 # rational parsing with a symbolic epsilon
 
 # Fraction builds 10**e exactly, so "1e100000000" would stall for minutes;
-# larger exponents (already far past any double) are refused before it runs
+# larger exponents (already far past any double) are refused before it runs,
+# and so is a larger p of a p-norm, whose exact power sum grows the same way
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 # Fraction reads "1_000" from Python 3.11 on and "1 / 3" from 3.12 on; an
@@ -141,11 +142,26 @@ def parse_rational_or_inf(text, path="value"):
     return _fraction(s, text, path, "not a rational:")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refused where a key repeats, since the dict
+    would keep only the last of its values."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError("$", f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def parse_json(text):
-    """json.loads with every failure, Python's 4,300-digit limit on integers
-    and deep nesting included, raised as a SchemaError at "$"."""
+    """json.loads with every failure, Python's 4,300-digit limit on integers,
+    deep nesting and a repeated key included, raised as a SchemaError at "$"."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except SchemaError:
+        raise
     except (ValueError, RecursionError) as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
 
@@ -342,6 +358,8 @@ def expr_from_json(doc, spaces, bound, path="expr") -> FunctorExpr:
             c2 = parse_weight(pn.get("c2"), path=pn_path + ".c2")
             if type(pn.get("p")) is not int:  # a JSON boolean is no integer
                 raise SchemaError(pn_path + ".p", f"expected an integer, got {pn.get('p')!r}")
+            if pn["p"] > MAX_EXPONENT:  # the power sum holds p times its entries' bits
+                raise SchemaError(pn_path + ".p", f"p = {pn['p']} exceeds {MAX_EXPONENT}")
             try:
                 ev = PNormEval(pn["p"], c1, c2)
             except ConfigurationError as exc:

@@ -335,7 +335,7 @@ def run_suite(name, seed=0, n=50) -> SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# random probabilistic systems (shared by tests and demos)
+# random probabilistic and metric transition systems, used by the tests
 
 
 def random_prob_ts(rng: random.Random, max_states=6, c=Fraction(1, 2)):

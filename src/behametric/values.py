@@ -272,15 +272,19 @@ def scale(v: Value, c: Fraction) -> Value:
 
 
 def _floor_root(n: int, p: int) -> int:
-    """floor(n ** (1/p)) of an int n >= 0 of any size, by integer Newton from above."""
+    """floor(n ** (1/p)) of an int n >= 0 of any size, by integer Newton from
+    a double's estimate of the root, so that the steps do not grow with p."""
     if n < 2:
         return n
-    x = 1 << -(-n.bit_length() // p)  # 2 ** ceil(bits / p) exceeds the root
-    while True:
-        y = ((p - 1) * x + n // x ** (p - 1)) // p
-        if y >= x:
-            return x
+    e = max(0, n.bit_length() // p - 53)  # the estimate is a double times 2**e
+    x = (int(2.0 ** (math.log2(n) / p - e)) + 1) << e
+    # one step from any x > 0 lands at or above the root (AM-GM), from x so
+    # near the root just above it; from there each step falls until the next
+    # would not
+    x = ((p - 1) * x + n // x ** (p - 1)) // p
+    while (y := ((p - 1) * x + n // x ** (p - 1)) // p) < x:
         x = y
+    return x
 
 
 def pth_root(v: Value, p: int) -> Value:

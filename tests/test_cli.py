@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -185,13 +186,20 @@ class TestDist:
             (tau_doc({"b": {"a": 0}}), "tau[b]: expected a list of names, got {'a': 0}"),
             (tau_doc({"a": "b"}), "tau[a]: expected a list of names, got 'b'"),
             (tau_doc({"a": ["b", 1]}), "tau[a][1]: expected a name, got 1"),
+            # the power sum holds p times its entries' bits
+            (
+                {"top": "1", "expr": {"product": {"left": "id", "right": "id", "eval": {
+                    "pnorm": {"p": 5000, "c1": "1/2", "c2": "1/2"}}}}},
+                "expr.product.eval.pnorm.p: p = 5000 exceeds 1000",
+            ),
         ],
         ids=["duplicate-states", "unknown-target", "no-propositions", "product-sides",
              "pnorm-p", "pnorm-weight", "set-body", "non-object", "id-body",
              "unknown-source", "negative-weight", "negative-terminate", "bool-weight", "bool-c",
              "bool-discount", "bool-pnorm-p", "dist-weight", "dist-eps", "dist-item-kind",
              "dist-body", "dist-pair", "dist-long-pair", "repeated-item", "repeated-item-only",
-             "repeated-set", "tau-string", "tau-object", "tau-one-name", "tau-non-name"],
+             "repeated-set", "tau-string", "tau-object", "tau-one-name", "tau-non-name",
+             "pnorm-p-past-bound"],
     )
     def test_malformed_document_names_its_path(self, capsys, tmp_path, doc, message):
         bad = tmp_path / "bad.json"
@@ -324,6 +332,58 @@ class TestDist:
         assert code == 0 and err == ""
         assert out.splitlines()[3] == "s2,5/8,5/8,0,5/12"
 
+    def test_pnorm_at_the_p_bound_is_quick(self, capsys, tmp_path):
+        # p = 1000: each root is taken on 55,000-bit ints, by integer Newton
+        # from a double's estimate of it
+        atoms = ["p", "q", "r"]
+        doc = tmp_path / "pnorm_p1000.json"
+        doc.write_text(json.dumps({
+            "top": "1",
+            "spaces": {"k": {"carrier": atoms,
+                             "d": [["p", "q", "1/3"], ["p", "r", "1/2"], ["q", "r", "1/5"]]}},
+            "expr": {"product": {"left": {"const": "k"}, "right": {"id": {"discount": "9/10"}},
+                                 "eval": {"pnorm": {"p": 1000, "c1": "1/2", "c2": "1/2"}}}},
+            "states": ["s0", "s1", "s2", "s3"],
+            "alpha": {f"s{i}": {"pair": [atoms[i % 3], f"s{(i + 1) % 4}"]} for i in range(4)},
+        }))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dist", str(doc), "--exact")
+        assert time.perf_counter() - start < 2
+        assert code == 0 and err == ""
+        a, b, c, d = ("0.4041587011946155", "0.49965354649522625", "0.36349079111782934",
+                      "0.449376599745463")
+        assert out == (f"state,s0,s1,s2,s3\ns0,0,{a},{b},{c}\ns1,{a},0,{d},{d}\n"
+                       f"s2,{b},{d},0,{b}\ns3,{c},{d},{b},0\n")
+
+    @pytest.mark.parametrize("command, text, key", [
+        # x's weights would sum to 3/2 but load as {y: 1/2, z: 1/2}
+        ("dist", '{"kind": "prob_ts", "states": ["x", "y", "z"], "transitions": {"x": {"y": "1/2", '
+                 '"z": "1/2", "y": "1/2"}, "y": {"y": "1"}, "z": {"z": "1"}}}', "y"),
+        ("dist", '{"top": "1", "expr": "id", "states": ["s"], "states": ["s", "t"], '
+                 '"alpha": {"s": "s", "t": "t"}}', "states"),
+        ("lift", '{"top": "1", "space": {"carrier": ["a", "b"], "d": [["a", "b", "1"]]}, '
+                 '"expr": "id", "t1": "a", "t2": "b", "t1": "b"}', "t1"),
+    ], ids=["transition-weight", "top-level", "lift"])
+    def test_repeated_key_refused(self, capsys, tmp_path, command, text, key):
+        # a JSON object keeps only the last of a repeated key's values
+        doc = tmp_path / "repeated.json"
+        doc.write_text(text)
+        code, out, err = run(capsys, command, str(doc))
+        assert (code, out, err) == (1, "", f"error: $: repeated key {key!r}\n")
+
+    def test_deep_nesting_exits_with_one_line(self, capsys, tmp_path):
+        # json reads the 300 nested sets, which the loader and the lifting
+        # recurse through past Python's recursion limit
+        depth = 300
+        expr = '{"finpow": ' * depth + '"id"' + "}" * depth
+        x, y = ('{"set": [' * depth + f'"{s}"' + "]}" * depth for s in "xy")
+        doc = tmp_path / "deep.json"
+        doc.write_text(f'{{"top": "1", "expr": {expr}, "states": ["x", "y"], '
+                       f'"alpha": {{"x": {x}, "y": {y}}}}}')
+        code, out, err = run(capsys, "dist", str(doc), "--exact")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "mode, csv",
         [
@@ -439,10 +499,16 @@ PINNED_WARNINGS = {
     # on every Python; recorded from the same system spelled plainly
     ("rational_spellings_exact.csv",
      ("dist", FIXTURES / "rational_spellings.json", "--exact")),
+    # both methods solve one transport at Dist: the Kantorovich CSV is the
+    # Wasserstein one, byte for byte
+    *((golden, ("dist", *doc, "--exact", "--method", method))
+      for golden, doc in [("fig1_left_exact.csv", (DATA / "fig1_left.json", "--eps", "1/20")),
+                          ("fig1_right_exact.csv", (DATA / "fig1_right.json",))]
+      for method in ("wasserstein", "kantorovich")),
 ])
-def test_float_mode_output_pinned(capsys, golden, args):
-    # the float goldens were recorded before the triangle check screened
-    # doubles as integers; CI diffs the same runs
+def test_recorded_output_pinned(capsys, golden, args):
+    # every recorded output is diffed here, and only here; the float goldens
+    # were recorded before the triangle check screened doubles as integers
     code, out, err = run(capsys, *map(str, args))
     assert (code, err) == (0, PINNED_WARNINGS.get(golden, ""))
     assert out == (FIXTURES / golden).read_text()
@@ -455,7 +521,7 @@ def test_float_mode_output_pinned(capsys, golden, args):
     ("malformed_string_tau.json", "tau[a]: expected a list of names, got 'ab'"),
 ])
 def test_malformed_fixture_exits_with_one_line(capsys, doc, message):
-    # the documents CI's malformed loop runs
+    # recorded malformed documents, one per way a load fails
     code, out, err = run(capsys, "dist", str(FIXTURES / doc))
     assert (code, out, err) == (1, "", f"error: {message}\n")
 

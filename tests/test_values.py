@@ -17,6 +17,7 @@ from behametric.values import (
     TOP_ONE,
     ZERO,
     TopBound,
+    _floor_root,
     Value,
     add_ext,
     dist_e,
@@ -253,6 +254,15 @@ class TestRoots:
     def test_a_double_that_is_a_perfect_power_gives_a_double(self):
         v = pth_root(Value(4.0), 2)
         assert type(v.mag) is float and v.mag == 2.0
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 64, 1000])
+    def test_floor_root_beside_perfect_powers(self, p):
+        # the integer Newton starts from a double's estimate, below the root
+        # or above it; a small root is far from its estimate's floor
+        for r in (1, 2, 3, 10**6 + 3, 2**55 + 1, 3**200):
+            for n in (r**p - 1, r**p, r**p + 1):
+                x = _floor_root(n, p)
+                assert x**p <= n < (x + 1) ** p, (r, p)
 
 
 class TestModes:
